@@ -23,6 +23,13 @@ iteration) into linear work, and it is why external code must never flip
 :meth:`release_resident`), which keep the counter exact. Transition
 methods require **unique** index arrays (every caller passes
 ``flatnonzero``- or ``choice(replace=False)``-derived indices).
+
+The host LRU is incremental. An eviction reads a cached order of the
+resident pages, sorted by ``(last_access, tie rank)`` when it was last
+built, and validates entries lazily; the order is rebuilt only when it
+holds too few valid entries (see :meth:`PageSet.lru_candidates`). Ties
+between pages stamped at the same tick are broken by a fixed seeded
+permutation of page indices (DESIGN §5 item 8).
 """
 
 from __future__ import annotations
@@ -31,7 +38,27 @@ import numpy as np
 
 from repro.util import PAGE_SIZE
 
-__all__ = ["PageSet"]
+__all__ = ["PageSet", "LRU_TIE_SEED", "lru_tie_rank"]
+
+#: seed of the LRU tie-break permutation; a constant of its own, so that
+#: eviction order never draws from a workload's rng stream
+LRU_TIE_SEED = 0x1F0E
+#: LRU ticks must stay below this (the sort key is ``tick << 32 | rank``);
+#: as ``_lru_fresh`` it means no tick was stamped since the last build
+_TICK_LIMIT = 1 << 31
+_NO_ORDER = np.empty(0, dtype=np.int32)
+
+
+def lru_tie_rank(n_pages: int) -> np.ndarray:
+    """The LRU tie rank of each page: a seeded permutation of its index.
+
+    Most pages share an access tick (touch sampling is capped), so the
+    tie-break decides which of them are evicted. Index order would evict
+    the low-index hot write set first; a permutation spreads evictions
+    evenly over the VM's regions.
+    """
+    rng = np.random.default_rng(LRU_TIE_SEED)
+    return rng.permutation(n_pages).astype(np.int32)
 
 
 class PageSet:
@@ -54,6 +81,13 @@ class PageSet:
         #: running count of set ``present`` bits (kept exact by the
         #: transition methods; O(1) residency queries)
         self._n_resident = 0
+        # incremental LRU (built on the first eviction): resident page ids
+        # sorted by (last_access, tie rank), the count of leading entries
+        # known dead, and the minimum tick stamped since the build
+        self._tie_rank: np.ndarray | None = None
+        self._lru_order = _NO_ORDER
+        self._lru_head = 0
+        self._lru_fresh = _TICK_LIMIT
 
     # -- derived quantities -------------------------------------------------
     @property
@@ -94,6 +128,8 @@ class PageSet:
     def touch(self, idx: np.ndarray, tick: int) -> None:
         """Record access time for LRU; pages must already be present."""
         self.last_access[idx] = tick
+        if tick < self._lru_fresh:
+            self._lru_fresh = tick
 
     def mark_dirty(self, idx: np.ndarray) -> None:
         """Record guest writes: sets the migration dirty bit and invalidates
@@ -115,6 +151,8 @@ class PageSet:
         self.present[idx] = True
         self.swapped[idx] = False
         self.last_access[idx] = tick
+        if tick < self._lru_fresh:
+            self._lru_fresh = tick
         self._n_resident += newly
         return newly
 
@@ -167,22 +205,65 @@ class PageSet:
 
     def lru_candidates(self, k: int, protect: np.ndarray | None = None
                        ) -> np.ndarray:
-        """Indices of up to ``k`` least-recently-used resident pages.
+        """The ``k`` least-recently-used eligible pages, oldest first.
 
-        ``protect`` (a boolean mask) excludes pages from eviction — used to
-        pin pages the migration manager is about to send.
+        Eligible pages are resident and not set in ``protect`` (an
+        optional boolean mask; no caller in the simulator sets one
+        today). Pages are ranked by ``(last_access, tie rank)``, where the
+        tie rank is :func:`lru_tie_rank`. Returns every eligible page if
+        there are fewer than ``k``. The call changes no page state.
+
+        The cached order is checked as it is read. Every page stamped
+        since the build is at least ``_lru_fresh`` old, so an entry is
+        valid (its page resident and unstamped since the build) exactly
+        when its page is resident and older than that. Valid entries in
+        order are then the oldest pages. An invalid entry stays invalid
+        until the next build, so leading ones are skipped for good.
         """
-        if k <= 0:
+        if k <= 0 or self._n_resident == 0:
             return np.empty(0, dtype=np.int64)
-        eligible = self.present if protect is None else (self.present & ~protect)
-        cand = np.flatnonzero(eligible)
-        if cand.size == 0:
-            return cand
-        if cand.size <= k:
-            return cand
-        ages = self.last_access[cand]
-        part = np.argpartition(ages, k - 1)[:k]
-        return cand[part]
+        victims = self._scan_lru(k, protect)
+        if victims.size < k:
+            self._rebuild_lru()
+            victims = self._scan_lru(k, protect)
+        return victims
+
+    def _scan_lru(self, k: int, protect: np.ndarray | None) -> np.ndarray:
+        """Up to ``k`` eligible pages from the valid entries, in order."""
+        order, fresh = self._lru_order, self._lru_fresh
+        # the first window covers the previous call's victims (dead now)
+        pos, window = self._lru_head, 4 * k + 64
+        found, n_found = [], 0
+        while pos < order.size and n_found < k:
+            stop = pos + window
+            ids = order[pos:stop].astype(np.int64)  # int64 gathers faster
+            live = self.present[ids]
+            live &= self.last_access[ids] < fresh
+            if pos == self._lru_head:
+                lead = int(live.argmax())
+                self._lru_head += lead if live[lead] else live.size
+            if protect is not None:
+                live &= ~protect[ids]
+            got = ids[live][:k - n_found]
+            found.append(got)
+            n_found += got.size
+            pos, window = stop, 2 * window
+        if not found:
+            return np.empty(0, dtype=np.int64)
+        return found[0] if len(found) == 1 else np.concatenate(found)
+
+    def _rebuild_lru(self) -> None:
+        if self._tie_rank is None:
+            self._tie_rank = lru_tie_rank(self.n_pages)
+        ids = np.flatnonzero(self.present).astype(np.int32)
+        key = self.last_access[ids]
+        if key.size and key.max() >= _TICK_LIMIT:
+            raise OverflowError("LRU tick beyond the 31-bit range")
+        key <<= 32
+        key |= self._tie_rank[ids]
+        self._lru_order = ids[key.argsort()]
+        self._lru_head = 0
+        self._lru_fresh = _TICK_LIMIT
 
     def non_present_in(self, lo: int, hi: int) -> np.ndarray:
         """Page indices in [lo, hi) that are not resident."""

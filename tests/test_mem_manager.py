@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mem import HostMemoryManager, SSDSwapDevice
+from repro.mem.pages import lru_tie_rank
 from repro.net import Network
 from repro.host import Host
 from repro.vm import VirtualMachine
@@ -72,9 +73,14 @@ def test_cgroup_cap_triggers_lru_eviction():
     host.memory.tick = 5
     host.memory.fault_in("vm1", np.arange(8, 16))  # 16 resident > 10 cap
     assert vm.pages.resident_pages() == 10
-    # the evicted pages are the oldest (ticks 0 vs 5)
-    assert np.all(~vm.pages.present[:6])
-    assert np.all(vm.pages.swapped[:6])
+    # the evicted pages are the oldest: six of the eight tick-0 pages,
+    # chosen by the seeded tie rank; every tick-5 page stays resident
+    evicted = np.flatnonzero(~vm.pages.present[:16])
+    assert evicted.size == 6 and np.all(evicted < 8)
+    assert np.all(vm.pages.present[8:16])
+    rank = lru_tie_rank(vm.pages.n_pages)
+    assert set(evicted.tolist()) == set(np.argsort(rank[:8])[:6].tolist())
+    assert np.all(vm.pages.swapped[evicted])
 
 
 def test_eviction_of_fresh_pages_queues_writeback():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem import PageSet
+from repro.mem.pages import lru_tie_rank
 
 
 def idx(*vals):
@@ -125,6 +126,69 @@ def test_lru_candidates_k_zero_or_empty():
     ps = PageSet(5)
     assert ps.lru_candidates(0).size == 0
     assert ps.lru_candidates(3).size == 0  # nothing resident
+
+
+def lru_oracle(ps, k, protect=None):
+    """The contract by full sort: the ``k`` eligible pages with the
+    smallest ``(last_access, tie rank)``, oldest first."""
+    eligible = ps.present if protect is None else ps.present & ~protect
+    cand = np.flatnonzero(eligible)
+    rank = lru_tie_rank(ps.n_pages)
+    return cand[np.lexsort((rank[cand], ps.last_access[cand]))][:k]
+
+
+def random_subset(rng, pool, max_size):
+    if pool.size == 0:
+        return pool
+    size = int(rng.integers(0, min(max_size, pool.size) + 1))
+    return rng.choice(pool, size=size, replace=False)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lru_candidates_matches_full_sort_oracle(seed):
+    """Lockstep differential: every transition, then the cached order
+    must agree with a full sort, including after non-monotonic ticks."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    ps = PageSet(n)
+    everything = np.arange(n)
+    tick = 0
+    for step in range(400):
+        tick = max(0, tick + int(rng.integers(-3, 3)))
+        op = rng.integers(0, 7)
+        if op == 0:
+            ps.make_resident(random_subset(rng, everything, 80), tick)
+        elif op == 1:
+            ps.touch(random_subset(rng, ps.present_indices(), 60), tick)
+        elif op == 2:
+            ps.swap_out(random_subset(rng, ps.present_indices(), 20))
+        elif op == 3:
+            ps.drop(random_subset(rng, everything, 10))
+        elif op == 4:
+            ps.release_resident(random_subset(rng, everything, 10))
+        else:
+            k = int(rng.integers(0, 60))
+            protect = None if step % 3 else rng.random(n) < 0.2
+            got = ps.lru_candidates(k, protect=protect)
+            want = lru_oracle(ps, k, protect)
+            assert got.tolist() == want.tolist(), (seed, step)
+            if op == 5:  # evict them, as the memory manager does
+                ps.swap_out(got)
+        ps.check_invariants()
+
+
+def test_lru_ties_are_not_broken_by_index():
+    """All pages share one tick: the victims are a seeded spread over the
+    VM, not the low-index prefix (which would evict the hot write set)."""
+    ps = PageSet(1000)
+    ps.make_resident(np.arange(1000), tick=3)
+    got = ps.lru_candidates(100)
+    assert sorted(got.tolist()) != list(range(100))
+    assert got.max() > 500
+    assert got.tolist() == lru_oracle(ps, 100).tolist()
+    other = PageSet(1000)
+    other.make_resident(np.arange(1000), tick=3)
+    assert other.lru_candidates(100).tolist() == got.tolist()
 
 
 def test_non_present_in():
