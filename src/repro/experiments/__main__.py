@@ -201,7 +201,6 @@ def cmd_scale(args) -> int:
     tracer = make_tracer(args)
     res = run_scale(cfg, check_grants=not args.no_check,
                     with_cluster=not args.fabric_only,
-                    with_commit=not args.fabric_only,
                     tracer=tracer,
                     repeats=1 if cfg.tiers == 3 else 2)
     print(f"Scale harness ({mode}, seed {seed}):")
@@ -215,26 +214,15 @@ def cmd_scale(args) -> int:
     if not res["fabric"].get("grants_match", True):
         print("  FAIL: fast-path grants diverged from the reference oracle")
         rc = 1
-    if not res["fabric"].get("aggregated_grants_match", True):
-        print("  FAIL: aggregated-fill grants diverged from the "
-              "reference oracle")
-        rc = 1
-    if not res.get("commit", {}).get("states_match", True):
-        print("  FAIL: batched commit state diverged from the scalar "
-              "oracle")
-        rc = 1
-    if args.min_agg_speedup is not None:
-        agg = res["fabric"].get("speedup_aggregated")
-        if agg is None:
-            print("  FAIL: --min-agg-speedup needs the aggregated arm")
-            rc = 1
-        elif agg < args.min_agg_speedup:
-            print(f"  FAIL: aggregated speedup {agg:.1f}x below "
-                  f"--min-agg-speedup {args.min_agg_speedup:g}")
+    if args.min_speedup is not None:
+        speedup = res["fabric"]["speedup_ticks_per_s"]
+        if speedup < args.min_speedup:
+            print(f"  FAIL: fast-path speedup {speedup:.1f}x below "
+                  f"--min-speedup {args.min_speedup:g}")
             rc = 1
         else:
-            print(f"  aggregation gate ok: {agg:.1f}x >= "
-                  f"{args.min_agg_speedup:g}x vs reference")
+            print(f"  speedup gate ok: {speedup:.1f}x >= "
+                  f"{args.min_speedup:g}x vs reference")
     if args.max_commit_share is not None:
         share = commit_share(res)
         if share is None:
@@ -502,8 +490,8 @@ def main(argv=None) -> int:
                              "racks x 10 hosts with fan-in lanes); "
                              "combine with --quick for the CI-sized "
                              "variant")
-    parser.add_argument("--min-agg-speedup", type=float, default=None,
-                        help="scale: fail if the aggregated fill's "
+    parser.add_argument("--min-speedup", type=float, default=None,
+                        help="scale: fail if the default fast path's "
                              "ticks/s speedup over the reference "
                              "oracle falls below this factor")
     parser.add_argument("--strategy", choices=["greedy", "swap"],
@@ -526,8 +514,7 @@ def main(argv=None) -> int:
                         help="scale: skip the fast-vs-reference grant "
                              "equality check (timing only)")
     parser.add_argument("--fabric-only", action="store_true",
-                        help="scale: skip the commit bench and the "
-                             "end-to-end cluster bench")
+                        help="scale: skip the end-to-end cluster bench")
     args = parser.parse_args(argv)
 
     exp = args.experiment

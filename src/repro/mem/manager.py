@@ -17,15 +17,11 @@ Swap-clean tracking mirrors the Linux swap cache: a page swapped in and
 not re-dirtied keeps its valid swap copy and can be evicted again for
 free; dirtying a page invalidates the copy.
 
-Two implementations of the tick-phase bookkeeping coexist:
-
-* the **scalar oracle** (``fast_path=False``) loops over every binding
-  per phase — the reference semantics, kept simple and auditable;
-* the **batched path** (``fast_path=True``, the default) interns
-  bindings into a :class:`~repro.mem.batch.HostCommitBatch` and visits
-  only slots with pending work. The two are bit-identical — the
-  randomized differential suite in ``tests/test_mem_batch.py`` holds
-  them to exact (``==``) equality after every tick.
+The tick-phase bookkeeping (writeback-demand declaration, fault
+throttling, the writeback drain) and the host-pressure victim search are
+plain loops over the registered bindings: per-VM residency is an O(1)
+:class:`~repro.mem.pages.PageSet` counter, so each loop costs a few
+attribute reads per VM.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.mem.batch import HostCommitBatch
 from repro.mem.cgroup import Cgroup
 from repro.mem.device import DeviceQueue, SwapBackend
 from repro.mem.pages import PageSet
@@ -53,15 +48,10 @@ class VmMemoryBinding:
     the VM: during a migration the VM's authoritative page set switches
     to the destination copy, while the source host keeps managing the
     source-side copy until the push phase finishes.
-
-    ``writeback_backlog`` is a property: while the binding is interned
-    in a fast-path batch it proxies the dense array cell, so engines
-    that carry debt across a re-registration and the batched drain see
-    one coherent value.
     """
 
     __slots__ = ("vm_name", "pages", "cgroup", "backend", "fault_queue",
-                 "write_queue", "protect", "_backlog", "_batch", "_slot")
+                 "write_queue", "protect", "writeback_backlog")
 
     def __init__(self, vm_name: str, pages: PageSet, cgroup: Cgroup,
                  backend: SwapBackend, fault_queue: DeviceQueue,
@@ -78,26 +68,8 @@ class VmMemoryBinding:
         self.write_queue = write_queue
         #: pages pinned against eviction (e.g. being scanned by migration)
         self.protect = protect
-        self._backlog = float(writeback_backlog)
-        self._batch: Optional[HostCommitBatch] = None
-        self._slot = -1
-
-    @property
-    def writeback_backlog(self) -> float:
-        batch = self._batch
-        if batch is not None:
-            return float(batch.backlog[self._slot])
-        return self._backlog
-
-    @writeback_backlog.setter
-    def writeback_backlog(self, value: float) -> None:
-        batch = self._batch
-        if batch is not None:
-            batch.backlog[self._slot] = value
-            if value != 0.0:
-                batch._maybe_work = True
-        else:
-            self._backlog = float(value)
+        #: evicted bytes still waiting for device write bandwidth
+        self.writeback_backlog = float(writeback_backlog)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"VmMemoryBinding(vm_name={self.vm_name!r}, "
@@ -113,28 +85,19 @@ class HostMemoryManager:
     #: slows page-ins instead of accumulating unbounded write debt)
     writeback_debt_cap: float = 64 * 2 ** 20
 
-    #: resolved when ``fast_path`` is not passed explicitly; the
-    #: differential tests flip this to run whole scenarios against the
-    #: scalar oracle without threading a flag through every builder
-    DEFAULT_FAST_PATH: bool = True
-
     #: live-metrics sink; class-level no-op default so standalone
     #: managers (benches, unit tests) pay one attribute check —
     #: ``World.add_host`` re-assigns the instance attribute
     metrics = NULL_METRICS
 
     def __init__(self, host: str, capacity_bytes: float,
-                 host_os_bytes: float = 200 * 2 ** 20,
-                 fast_path: Optional[bool] = None):
+                 host_os_bytes: float = 200 * 2 ** 20):
         if capacity_bytes <= host_os_bytes:
             raise ValueError("host capacity must exceed host OS overhead")
         self.host = host
         self.capacity_bytes = float(capacity_bytes)
         self.host_os_bytes = float(host_os_bytes)
         self._bindings: dict[str, VmMemoryBinding] = {}
-        self.fast_path = (self.DEFAULT_FAST_PATH if fast_path is None
-                          else bool(fast_path))
-        self._batch = HostCommitBatch() if self.fast_path else None
         self.tick = 0
 
     # -- registration ----------------------------------------------------------
@@ -150,8 +113,6 @@ class HostMemoryManager:
                                            host=self.host),
         )
         self._bindings[vm.name] = binding
-        if self._batch is not None:
-            self._batch.add(binding)
         return binding
 
     def unregister_vm(self, vm_name: str) -> None:
@@ -161,10 +122,7 @@ class HostMemoryManager:
         # The VM's writeback debt departs with it: the queued writes
         # belonged to a QEMU process that no longer exists on this host,
         # so they must not keep demanding device bandwidth.
-        if binding._batch is not None:
-            binding._batch.remove(binding._slot)
-        else:
-            binding._backlog = 0.0
+        binding.writeback_backlog = 0.0
 
     def binding(self, vm_name: str) -> VmMemoryBinding:
         return self._bindings[vm_name]
@@ -250,8 +208,6 @@ class HostMemoryManager:
 
     def _pick_host_victim(self) -> Optional[VmMemoryBinding]:
         """Evict from the VM most over its reservation, else the largest."""
-        if self._batch is not None:
-            return self._batch.pick_victim()
         best, best_over = None, -float("inf")
         for b in self._bindings.values():
             resident = b.pages.resident_bytes()
@@ -310,27 +266,16 @@ class HostMemoryManager:
         writes demand 0.0 — so stale demand cannot persist when the
         backing device's arbiter disappears mid-run (VMD server loss).
         """
-        batch = self._batch
-        if batch is not None:
-            # guard inlined: an idle host skips even the call frame
-            if batch._maybe_work:
-                batch.pre_tick_demands(self.writeback_debt_cap)
-            return
         cap = self.writeback_debt_cap
         for b in self._bindings.values():
-            d = b._backlog
+            d = b.writeback_backlog
             b.write_queue.demand = d
             if d > cap and b.fault_queue.demand > 0:
                 b.fault_queue.demand *= cap / d
 
     def commit_tick(self, dt: float) -> None:
         self.tick += 1
-        batch = self._batch
-        if batch is not None:
-            if batch._maybe_work:
-                batch.drain()
-            return
         for b in self._bindings.values():
             g = b.write_queue.granted
             if g > 0:
-                b._backlog = max(0.0, b._backlog - g)
+                b.writeback_backlog = max(0.0, b.writeback_backlog - g)

@@ -15,8 +15,8 @@ migration managers and the VMD move bytes.
 
 from repro.net.link import Link
 from repro.net.flow import Flow
-from repro.net.network import DEFAULT_AGGREGATE, Network
+from repro.net.network import Network
 from repro.net.channel import ChannelClosed, StreamChannel, TransferJob
 
-__all__ = ["ChannelClosed", "DEFAULT_AGGREGATE", "Flow", "Link", "Network",
-           "StreamChannel", "TransferJob"]
+__all__ = ["ChannelClosed", "Flow", "Link", "Network", "StreamChannel",
+           "TransferJob"]

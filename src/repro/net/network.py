@@ -18,23 +18,11 @@ Two arbitration implementations share that contract:
   links are interned to integer indices at ``open_flow`` time, setting a
   positive demand enqueues the flow in the tick's active set, and the
   progressive filling runs over a reusable NumPy headroom array (a
-  scalar loop for small priority classes, ``bincount``/``reduceat``
+  scalar loop for small priority classes, ``bincount``/``subtract.at``
   vectorization for large ones). Idle flows cost nothing. The fast path
   performs the *same* floating-point operations in the same order as the
   reference, so grants are bit-identical — enforced by the randomized
   differential tests in ``tests/test_net_fastpath.py``.
-
-On top of the fast path, **flow aggregation** (the default; see
-:data:`DEFAULT_AGGREGATE`) coalesces flows of one priority class that
-traverse the *same* link path — the dominant shape at datacenter scale,
-where many per-VM/per-queue flows between one host pair share one
-tier-crossing path — into a single aggregate for the fill loop. The
-aggregate participates in filling with weight = its unfrozen member
-count, and grants are redistributed to members max-min fairly by demand.
-Aggregation is a pure reindexing of the same arithmetic (see
-``_fill_fast_aggregate``), so grants remain bit-identical to the
-reference oracle; ``tests/test_net_aggregate.py`` enforces this with
-three-way differential runs.
 """
 
 from __future__ import annotations
@@ -48,20 +36,19 @@ from repro.net.flow import Flow
 from repro.net.link import Link
 from repro.telemetry.instruments import NULL_METRICS
 
-__all__ = ["Network", "NIC", "DEFAULT_AGGREGATE"]
+__all__ = ["Network", "NIC"]
 
 _seq_of = operator.attrgetter("_seq")
-
-#: default for ``Network(aggregate=...)``. Flip to ``False`` to run a
-#: whole scenario with the unaggregated vector fill (the ablation arm
-#: the aggregation differential tests and ``fabric_bench`` compare
-#: against); grants are bit-identical either way.
-DEFAULT_AGGREGATE = True
 
 #: priority classes at or below this size use the scalar filling loop —
 #: NumPy call overhead beats the win for a handful of flows (the common
 #: case: one demand-paging flow in class 0, a few migrations in class 1)
 _SCALAR_BATCH = 12
+
+#: progressive-filling iterations that freeze no flow before a fill
+#: gives up. Every other iteration retires at least one flow, so those
+#: are bounded by the class size; only a stalled loop can hit this.
+_MAX_STALLS = 10000
 
 
 class NIC:
@@ -90,8 +77,7 @@ class Network:
     """
 
     def __init__(self, default_bandwidth_bps: float = 117e6,
-                 latency_s: float = 2e-4, fast_path: bool = True,
-                 aggregate: Optional[bool] = None):
+                 latency_s: float = 2e-4, fast_path: bool = True):
         if default_bandwidth_bps <= 0:
             raise ValueError("default bandwidth must be positive")
         if latency_s < 0:
@@ -99,10 +85,6 @@ class Network:
         self.default_bandwidth_bps = float(default_bandwidth_bps)
         self.latency_s = float(latency_s)
         self.fast_path = bool(fast_path)
-        #: coalesce same-path flows per priority class in the vector
-        #: fill (None → module default). Only meaningful on the fast path.
-        self.aggregate = (DEFAULT_AGGREGATE if aggregate is None
-                          else bool(aggregate))
         self._nics: dict[str, NIC] = {}
         self._flows: list[Flow] = []
         #: optional datacenter topology: inter-rack flows additionally
@@ -332,11 +314,8 @@ class Network:
                 f.granted = f.demand
                 unfrozen.remove(f)
 
-        guard = 0
+        stalls = 0
         while unfrozen:
-            guard += 1
-            if guard > 10000:  # pragma: no cover - algorithmic safety net
-                raise RuntimeError("progressive filling failed to converge")
             # Count unfrozen flows per link.
             counts: dict[Link, int] = {}
             for f in unfrozen:
@@ -362,8 +341,13 @@ class Network:
                 if any(remaining[l] <= eps for l in f.links):
                     continue
                 still.append(f)
-            if len(still) == len(unfrozen) and delta <= eps:
-                break  # nothing can advance (all links exhausted)
+            if len(still) == len(unfrozen):
+                if delta <= eps:
+                    break  # nothing can advance (all links exhausted)
+                stalls += 1
+                if stalls > _MAX_STALLS:  # pragma: no cover - safety net
+                    raise RuntimeError(
+                        "progressive filling failed to converge")
             unfrozen = still
 
     # -- fast implementation ----------------------------------------------------
@@ -421,8 +405,6 @@ class Network:
             batch = batches[prio]
             if len(batch) <= _SCALAR_BATCH:
                 self._fill_fast_scalar(batch, rem)
-            elif self.aggregate:
-                self._fill_fast_aggregate(batch, rem)
             else:
                 self._fill_fast_vector(batch, rem)
 
@@ -445,11 +427,8 @@ class Network:
                 f.granted = f._demand
                 unfrozen.remove(f)
 
-        guard = 0
+        stalls = 0
         while unfrozen:
-            guard += 1
-            if guard > 10000:  # pragma: no cover - algorithmic safety net
-                raise RuntimeError("progressive filling failed to converge")
             counts: dict[int, int] = {}
             for f in unfrozen:
                 for lid in f._lids:
@@ -472,8 +451,13 @@ class Network:
                 if any(rem[lid] <= eps for lid in f._lids):
                     continue
                 still.append(f)
-            if len(still) == len(unfrozen) and delta <= eps:
-                break
+            if len(still) == len(unfrozen):
+                if delta <= eps:
+                    break
+                stalls += 1
+                if stalls > _MAX_STALLS:  # pragma: no cover - safety net
+                    raise RuntimeError(
+                        "progressive filling failed to converge")
             unfrozen = still
 
     @staticmethod
@@ -562,14 +546,11 @@ class Network:
         n_alive = n
 
         g = 0.0
-        guard = 0
+        stalls = 0
         subtract_at = np.subtract.at
         divide = np.divide
         amin = np.minimum.reduce
         while True:
-            guard += 1
-            if guard > 10000:  # pragma: no cover - algorithmic safety net
-                raise RuntimeError("progressive filling failed to converge")
             divide(remD, counts, out=buf)
             delta = float(amin(buf))
             gap = d_min - g
@@ -587,6 +568,10 @@ class Network:
             if not (sat_any or dead_any):
                 if delta <= eps:
                     break  # nothing can advance (all links exhausted)
+                stalls += 1
+                if stalls > _MAX_STALLS:  # pragma: no cover - safety net
+                    raise RuntimeError(
+                        "progressive filling failed to converge")
                 continue
             # Freeze demand-satisfied flows and flows on exhausted links
             # (demand check first, mirroring the reference's ``continue``).
@@ -632,202 +617,6 @@ class Network:
             d_min = demand[order[ptr]]
             d_min_me = d_min - eps
         # Flows still unfrozen at exhaustion keep their accumulated grant.
-        if n_alive:
-            for i, f in enumerate(rest):
-                if alive_flags[i]:
-                    f.granted = g
-        # Write the class's headroom consumption back for later classes.
-        for lid, v in stale.items():
-            remD[lid] = v
-        rem[used] = remD
-
-    @staticmethod
-    def _fill_fast_aggregate(flows: list[Flow], rem: np.ndarray) -> None:
-        """Vectorized progressive filling over *aggregates* of same-path
-        flows (one priority class).
-
-        Flows whose interned link paths are identical — the common shape
-        once a topology funnels per-VM/per-queue flows between one host
-        pair through one tier-crossing path — are coalesced into a
-        single fill entity. The aggregate participates in the fill with
-        weight = its count of unfrozen members, and the arbiter's grant
-        is redistributed to members max-min fairly by demand.
-
-        Exactness relative to the reference oracle is by construction,
-        not by approximation — aggregation only *reindexes* the same
-        floating-point operations:
-
-        * every unfrozen flow of the class receives the same delta each
-          iteration, so a single scalar accumulated grant ``g`` serves
-          all members of all aggregates (the same argument the flat
-          vector fill uses); a member freezes by demand exactly when
-          ``g`` crosses its own demand, so member demands — not
-          aggregate sums — drive the delta min via the global
-          ascending-demand peel;
-        * the per-link unfrozen-flow *count* is the weight sum of the
-          incident aggregates (all members of an aggregate share its
-          links); sums and decrements of integer-valued floats are
-          exact, so ``remD / counts`` matches the reference's division
-          by integer counts bit-for-bit;
-        * the reference subtracts ``delta`` from a link once per
-          unfrozen incident *flow*; repeated float subtraction has no
-          closed form, so headroom is decremented with ``np.subtract.at``
-          over each aggregate's links repeated weight-many times —
-          unbuffered repeated-index subtraction reproduces the
-          reference's per-flow loop exactly (within an iteration all
-          incidences subtract the *same* delta, so order is irrelevant);
-        * a link exhaustion freezes every unfrozen flow incident to the
-          link; members of one aggregate share identical links, so whole
-          aggregates freeze together — the dense incidence of the
-          exhaustion check is per-aggregate, not per-flow.
-
-        The savings: the dense link universe, counts, division, min
-        scans, freeze bookkeeping, and the exhaustion check all shrink
-        from per-flow to per-aggregate incidence — O(aggregates × path
-        links) ≈ O(host-pairs × tiers) instead of O(flows × links). Only
-        the headroom subtraction keeps per-flow multiplicity (as it must
-        for bit-identity), and its index array is rebuilt only when a
-        freeze changes the alive set.
-        """
-        unfrozen = [f for f in flows if f._demand > 0]
-        rest = []
-        for f in unfrozen:
-            if not f._lids:
-                f.granted = f._demand
-            else:
-                rest.append(f)
-        if not rest:
-            return
-
-        # Group members by identical path (first-occurrence order).
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, f in enumerate(rest):
-            groups.setdefault(f._lids, []).append(i)
-        agg_paths = list(groups)
-        members = list(groups.values())
-        na = len(agg_paths)
-
-        eps = 1e-9
-        inf = np.inf
-        n = len(rest)
-        demand = [f._demand for f in rest]
-        # the reference's ``demand - eps`` floats (scalar math: identical)
-        demand_me = [d - eps for d in demand]
-        order = sorted(range(n), key=demand.__getitem__)
-        ptr = 0
-        agg_of = [0] * n
-        for a, mem in enumerate(members):
-            for i in mem:
-                agg_of[i] = a
-
-        # Dense link universe over *aggregate* paths (not flow incidence).
-        agg_lens = np.fromiter((len(p) for p in agg_paths),
-                               dtype=np.intp, count=na)
-        ids_raw = np.fromiter((lid for p in agg_paths for lid in p),
-                              dtype=np.intp, count=int(agg_lens.sum()))
-        bounds = np.zeros(na + 1, dtype=np.intp)
-        np.cumsum(agg_lens, out=bounds[1:])
-        srt = np.sort(ids_raw)
-        keep = np.empty(srt.shape[0], dtype=bool)
-        keep[0] = True
-        np.not_equal(srt[1:], srt[:-1], out=keep[1:])
-        used = srt[keep]
-        ids_agg = np.searchsorted(used, ids_raw)
-        entry_agg = np.repeat(np.arange(na, dtype=np.intp), agg_lens)
-        remD = rem[used]  # fancy indexing copies
-        nu = remD.shape[0]
-        buf = np.empty(nu, dtype=np.float64)
-        ids_list = ids_agg.tolist()  # python ints for the freeze loop
-        stale: dict[int, float] = {}
-
-        alive_flags = [True] * n
-        #: unfrozen member count per aggregate (the fill weight)
-        w_np = np.fromiter((len(m) for m in members), dtype=np.intp,
-                           count=na)
-        entry_alive = np.ones(ids_agg.shape[0], dtype=bool)
-        #: per-link unfrozen-flow count = Σ weights of incident
-        #: aggregates (integer-valued floats: sums/decrements are exact,
-        #: and the 1.0 sentinel on stale links keeps the divide inf)
-        counts = np.bincount(ids_agg, weights=w_np[entry_agg],
-                             minlength=nu)
-        ids_ent = ids_agg            # dense lids of alive entries
-        ea_agg = entry_agg           # aggregate index of alive entries
-        sub_ids = np.repeat(ids_ent, w_np[ea_agg])
-        d_min = demand[order[0]]
-        d_min_me = d_min - eps
-        n_alive = n
-
-        g = 0.0
-        guard = 0
-        subtract_at = np.subtract.at
-        divide = np.divide
-        amin = np.minimum.reduce
-        while True:
-            guard += 1
-            if guard > 10000:  # pragma: no cover - algorithmic safety net
-                raise RuntimeError("progressive filling failed to converge")
-            divide(remD, counts, out=buf)
-            delta = float(amin(buf))
-            gap = d_min - g
-            if gap < delta:
-                delta = gap
-            if delta < 0.0:
-                delta = 0.0
-            subtract_at(remD, sub_ids, delta)
-            g += delta
-            sat_any = g >= d_min_me
-            dead_any = float(amin(remD)) <= eps
-            if not (sat_any or dead_any):
-                if delta <= eps:
-                    break  # nothing can advance (all links exhausted)
-                continue
-            # Freeze demand-satisfied members and every member of
-            # aggregates on exhausted links (demand check first,
-            # mirroring the reference's ``continue``).
-            frozen: set[int] = set()
-            if sat_any:
-                k = ptr
-                while k < n:
-                    i = order[k]
-                    if alive_flags[i]:
-                        if demand_me[i] > g:
-                            break
-                        frozen.add(i)
-                    k += 1
-            if dead_any:
-                for a in ea_agg[(remD <= eps)[ids_ent]].tolist():
-                    frozen.update(i for i in members[a] if alive_flags[i])
-            by_agg: dict[int, int] = {}
-            for i in frozen:
-                f = rest[i]
-                f.granted = min(g, f._demand) if g >= demand_me[i] else g
-                alive_flags[i] = False
-                a = agg_of[i]
-                by_agg[a] = by_agg.get(a, 0) + 1
-            for a, k in by_agg.items():
-                w_np[a] -= k
-                kf = float(k)
-                if not w_np[a]:
-                    entry_alive[bounds[a]:bounds[a + 1]] = False
-                for lid in ids_list[bounds[a]:bounds[a + 1]]:
-                    c = counts[lid] - kf
-                    if c == 0.0:
-                        stale[lid] = remD[lid]
-                        remD[lid] = inf
-                        counts[lid] = 1.0
-                    else:
-                        counts[lid] = c
-            n_alive -= len(frozen)
-            if not n_alive:
-                break
-            ids_ent = ids_agg[entry_alive]
-            ea_agg = entry_agg[entry_alive]
-            sub_ids = np.repeat(ids_ent, w_np[ea_agg])
-            while not alive_flags[order[ptr]]:
-                ptr += 1
-            d_min = demand[order[ptr]]
-            d_min_me = d_min - eps
-        # Members still unfrozen at exhaustion keep their accumulated grant.
         if n_alive:
             for i, f in enumerate(rest):
                 if alive_flags[i]:

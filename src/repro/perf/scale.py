@@ -10,13 +10,6 @@ generator per driver, so two drivers with the same seed produce the same
 flow population and demand sequence tick for tick — which is what makes
 the grant-equality check meaningful and the timing comparison fair.
 
-The commit bench does the same for the *memory* side: twin fleets of
-per-host memory managers (one batched, one scalar oracle) replay the
-same seeded fault/dirty/shrink churn and the per-tick commit protocol
-(pre-tick demand declaration → device arbitration → commit drain) is
-timed on each, with a verification pass comparing every backlog, grant
-and residency counter exactly.
-
 Timing passes run without recording; a separate verification pass
 records per-flow grants on both networks and compares them exactly
 (``==``, not approximately — the fast path is bit-identical by design).
@@ -30,15 +23,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.mem import Cgroup, HostMemoryManager, SSDSwapDevice
 from repro.net.network import Network
 from repro.sched.topology import Topology
-from repro.vm import VirtualMachine
 
-__all__ = ["ScaleConfig", "cluster_bench", "commit_bench", "commit_share",
-           "fabric_bench", "run_scale"]
-
-_PAGE = 4096
+__all__ = ["ScaleConfig", "cluster_bench", "commit_share", "fabric_bench",
+           "run_scale"]
 
 
 @dataclass(frozen=True)
@@ -59,9 +48,8 @@ class ScaleConfig:
     #: VMD-style fan-in lanes per host: each host opens this many
     #: parallel priority-1 flows to one randomly chosen server host.
     #: Lanes of one (host, server) pair share the identical tier path,
-    #: so the aggregated fill coalesces them — the population the
-    #: aggregation exists for. 0 disables (and keeps the churn trace
-    #: byte-identical to the pre-aggregation harness).
+    #: so whole groups of flows contend for one bottleneck. 0 disables
+    #: (and keeps the churn trace byte-identical to a lane-free fabric).
     fanin_lanes: int = 0
     #: per-tick probability each fan-in lane declares demand
     fanin_active_prob: float = 0.5
@@ -96,16 +84,6 @@ class ScaleConfig:
     #: historical shape); forwarded to the datacenter scenario
     cluster_racks_per_pod: int = 0
     cluster_pods_per_az: int = 0
-    #: commit-path bench: hosts × VMs of memory-manager churn (the
-    #: 200-host datapoint for the batched commit state); hosts are dense
-    #: (16 VMs) because per-host batching is what is being measured
-    commit_hosts: int = 200
-    commit_vms_per_host: int = 16
-    commit_vm_pages: int = 256
-    commit_ticks: int = 200
-    #: fraction of VMs doing fault/dirty work per tick; the idle rest is
-    #: the point — the scalar oracle still visits every binding per tick
-    commit_activity: float = 0.1
 
     @staticmethod
     def quick(seed: int = 0) -> "ScaleConfig":
@@ -113,15 +91,14 @@ class ScaleConfig:
         return ScaleConfig(
             n_racks=4, hosts_per_rack=8, n_migrations=24,
             idle_channels_per_host=2, ticks=120, seed=seed,
-            cluster_sim_s=8.0, cluster_racks=3, cluster_hosts_per_rack=4,
-            commit_hosts=40, commit_ticks=80)
+            cluster_sim_s=8.0, cluster_racks=3, cluster_hosts_per_rack=4)
 
     @staticmethod
     def tier3(seed: int = 0, quick: bool = False) -> "ScaleConfig":
         """The 1000-host datapoint: 2 AZs × 5 pods × 10 racks × 10
         hosts behind 2:1 oversubscribed tier uplinks, with VMD-style
-        fan-in lanes so same-path flow populations exist for the
-        aggregated fill to coalesce. ``quick`` keeps all 1000 hosts but
+        fan-in lanes so large same-path flow populations contend for
+        shared bottlenecks. ``quick`` keeps all 1000 hosts but
         cuts ticks/lanes to fit the CI budget (the reference arbiter is
         what makes this bench expensive)."""
         cluster = dict(cluster_sim_s=6.0, cluster_racks=12,
@@ -132,8 +109,7 @@ class ScaleConfig:
                 tiers=3, n_azs=2, pods_per_az=5, racks_per_pod=10,
                 hosts_per_rack=10, n_migrations=100,
                 idle_channels_per_host=1, fanin_lanes=4,
-                ticks=30, seed=seed, commit_hosts=40, commit_ticks=80,
-                **cluster)
+                ticks=30, seed=seed, **cluster)
         return ScaleConfig(
             tiers=3, n_azs=2, pods_per_az=5, racks_per_pod=10,
             hosts_per_rack=10, n_migrations=200,
@@ -154,13 +130,11 @@ class ScaleConfig:
 class _FabricDriver:
     """One network + the deterministic churn replayed onto it."""
 
-    def __init__(self, cfg: ScaleConfig, fast_path: bool,
-                 aggregate: bool = False):
+    def __init__(self, cfg: ScaleConfig, fast_path: bool):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self.net = Network(default_bandwidth_bps=cfg.nic_bps,
-                           latency_s=2e-4, fast_path=fast_path,
-                           aggregate=aggregate)
+                           latency_s=2e-4, fast_path=fast_path)
         if cfg.tiers == 3:
             self.topo = Topology.tiered(
                 cfg.n_azs, cfg.pods_per_az, cfg.racks_per_pod,
@@ -200,8 +174,7 @@ class _FabricDriver:
                 self.app_flows.append(self.net.open_flow(
                     name, dst, priority=prio, name=f"app:{name}:{k}"))
         # VMD-style fan-in: each host streams to one server host over
-        # ``fanin_lanes`` parallel lanes. The lanes share one tier path,
-        # so they coalesce into one aggregate per (host, server) pair.
+        # ``fanin_lanes`` parallel lanes sharing one tier path.
         self.fanin_flows = []
         if cfg.fanin_lanes:
             for name in self.hosts:
@@ -334,25 +307,19 @@ class _FabricDriver:
 
 def fabric_bench(cfg: ScaleConfig, check_grants: bool = True,
                  repeats: int = 2) -> dict:
-    """Time all three arbiters on the same churn trace; verify grants.
+    """Time both arbiters on the same churn trace; verify grants.
 
-    The three arms are the aggregated fast path (same-path flows
-    coalesced per priority class), the per-flow fast path, and the
-    dict-based reference oracle. Each is timed ``repeats`` times and the
-    best pass is kept — the trace is deterministic, so repeats only
-    strip scheduler noise. ``speedup_aggregated`` is aggregated-vs-
-    *reference* ticks/s: the acceptance metric is measured against the
-    oracle, not against the already-fast vector path.
+    The two arms are the default fast path and the dict-based reference
+    oracle. Each is timed ``repeats`` times and the best pass is kept —
+    the trace is deterministic, so repeats only strip scheduler noise.
     """
-    def best(fast_path: bool, aggregate: bool) -> dict:
-        return min((_FabricDriver(cfg, fast_path=fast_path,
-                                  aggregate=aggregate).run()
+    def best(fast_path: bool) -> dict:
+        return min((_FabricDriver(cfg, fast_path=fast_path).run()
                     for _ in range(repeats)),
                    key=lambda r: r["wall_s"])
 
-    timed_agg = best(fast_path=True, aggregate=True)
-    timed_fast = best(fast_path=True, aggregate=False)
-    timed_ref = best(fast_path=False, aggregate=False)
+    timed_fast = best(fast_path=True)
+    timed_ref = best(fast_path=False)
     keys = ("wall_s", "ticks_per_s", "arbiter_us_per_tick")
     result = {
         "hosts": cfg.n_hosts,
@@ -363,7 +330,6 @@ def fabric_bench(cfg: ScaleConfig, check_grants: bool = True,
         "ticks": cfg.ticks,
         "peak_active_flows": timed_fast["peak_active_flows"],
         "flows_opened": timed_fast["flows_opened"],
-        "aggregated": {k: timed_agg[k] for k in keys},
         "fast": {k: timed_fast[k] for k in keys},
         "reference": {k: timed_ref[k] for k in keys},
     }
@@ -372,184 +338,15 @@ def fabric_bench(cfg: ScaleConfig, check_grants: bool = True,
     result["speedup_arbiter"] = (
         result["reference"]["arbiter_us_per_tick"]
         / result["fast"]["arbiter_us_per_tick"])
-    result["speedup_aggregated"] = (
-        result["aggregated"]["ticks_per_s"]
-        / result["reference"]["ticks_per_s"])
-    result["speedup_aggregated_arbiter"] = (
-        result["reference"]["arbiter_us_per_tick"]
-        / result["aggregated"]["arbiter_us_per_tick"])
     if check_grants:
-        rec_agg = _FabricDriver(cfg, fast_path=True,
-                                aggregate=True).run(record=True)
-        rec_fast = _FabricDriver(cfg, fast_path=True,
-                                 aggregate=False).run(record=True)
-        rec_ref = _FabricDriver(cfg, fast_path=False,
-                                aggregate=False).run(record=True)
+        rec_fast = _FabricDriver(cfg, fast_path=True).run(record=True)
+        rec_ref = _FabricDriver(cfg, fast_path=False).run(record=True)
         mismatches = sum(
             1 for a, b in zip(rec_fast["grants"], rec_ref["grants"])
-            if a != b)
-        agg_mismatches = sum(
-            1 for a, b in zip(rec_agg["grants"], rec_ref["grants"])
             if a != b)
         result["grants_match"] = mismatches == 0
         result["grant_ticks_compared"] = len(rec_fast["grants"])
         result["grant_mismatch_ticks"] = mismatches
-        result["aggregated_grants_match"] = agg_mismatches == 0
-        result["aggregated_grant_mismatch_ticks"] = agg_mismatches
-    return result
-
-
-class _CommitDriver:
-    """One fleet of per-host memory managers + deterministic churn.
-
-    Every third host is overcommitted (reservations sum past usable
-    memory) so fault storms exercise host-pressure eviction and victim
-    selection; the slow write device keeps writeback backlogs alive so
-    the commit drain has real work. Most VMs stay idle on most ticks —
-    the population the scalar oracle pays for and the batch skips.
-    """
-
-    def __init__(self, cfg: ScaleConfig, fast_path: bool):
-        self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
-        self.pairs: list[tuple[HostMemoryManager, SSDSwapDevice]] = []
-        self.flat: list[tuple[HostMemoryManager, str]] = []
-        vm_pages = cfg.commit_vm_pages
-        n_vms = cfg.commit_vms_per_host
-        for h in range(cfg.commit_hosts):
-            tight = h % 3 == 0
-            res_pages = vm_pages if tight else vm_pages // 2
-            usable = int(n_vms * res_pages * _PAGE
-                         * (0.6 if tight else 1.5))
-            mgr = HostMemoryManager(
-                f"h{h}", usable + (1 << 20), host_os_bytes=(1 << 20),
-                fast_path=fast_path)
-            # write bandwidth drains an eviction storm within a few
-            # ticks: the steady state has a mostly-idle VM population
-            # (zero backlog), which is what the batch skips and the
-            # scalar oracle pays for
-            dev = SSDSwapDevice(f"ssd{h}", read_bps=4096 * _PAGE,
-                                write_bps=1024 * _PAGE)
-            for v in range(n_vms):
-                name = f"h{h}v{v}"
-                vm = VirtualMachine(name, vm_pages * _PAGE, host=f"h{h}")
-                mgr.register_vm(vm, Cgroup(name, res_pages * _PAGE), dev)
-                self.flat.append((mgr, name))
-            self.pairs.append((mgr, dev))
-
-    def _churn(self) -> None:
-        # activity concentrates on a few hot hosts per tick: at any
-        # instant most of a fleet is quiet, and that idle majority is
-        # exactly the population whose per-tick cost the batch removes
-        cfg, rng = self.cfg, self.rng
-        n_vms = cfg.commit_vms_per_host
-        width = max(8, cfg.commit_vm_pages // 8)
-        hot = rng.integers(cfg.commit_hosts,
-                           size=max(1, int(cfg.commit_hosts
-                                           * cfg.commit_activity)))
-        for h in hot:
-            mgr, _dev = self.pairs[int(h)]
-            for v in rng.integers(n_vms, size=2):
-                name = f"h{int(h)}v{int(v)}"
-                lo = int(rng.integers(cfg.commit_vm_pages - width))
-                idx = np.arange(lo, lo + width)
-                mgr.fault_in(name, idx)
-                if rng.random() < 0.5:
-                    pages = mgr.binding(name).pages
-                    mgr.dirty(name, idx[pages.present[idx]])
-        if rng.random() < 0.25:  # a WSS-controller reservation move
-            mgr, name = self.flat[int(rng.integers(len(self.flat)))]
-            b = mgr.binding(name)
-            b.cgroup.set_reservation(float(rng.integers(
-                cfg.commit_vm_pages // 4, cfg.commit_vm_pages + 1)) * _PAGE)
-            mgr.shrink_to_reservation(name)
-
-    def run(self, record: bool = False) -> dict:
-        cfg = self.cfg
-        dt = cfg.dt
-        states: list[list[tuple]] = []
-        manager_s = 0.0
-        protocol_s = 0.0
-        t0 = time.perf_counter()
-        for _ in range(cfg.commit_ticks):
-            self._churn()
-            p0 = time.perf_counter()
-            for mgr, _dev in self.pairs:
-                mgr.pre_tick(dt)
-            m1 = time.perf_counter()
-            for _mgr, dev in self.pairs:
-                dev.arbitrate(dt)
-            m2 = time.perf_counter()
-            for mgr, _dev in self.pairs:
-                mgr.commit_tick(dt)
-            p1 = time.perf_counter()
-            protocol_s += p1 - p0
-            manager_s += (m1 - p0) + (p1 - m2)
-            if record:
-                states.append([self._state(mgr, name)
-                               for mgr, name in self.flat])
-        wall = time.perf_counter() - t0
-        return {
-            "wall_s": wall,
-            "ticks_per_s": (cfg.commit_ticks / wall if wall > 0
-                            else float("inf")),
-            "protocol_us_per_tick": protocol_s / cfg.commit_ticks * 1e6,
-            "manager_us_per_tick": manager_s / cfg.commit_ticks * 1e6,
-            "states": states,
-        }
-
-    @staticmethod
-    def _state(mgr: HostMemoryManager, name: str) -> tuple:
-        b = mgr.binding(name)
-        return (b.writeback_backlog, b.write_queue.granted,
-                b.write_queue.total_granted, b.pages.resident_pages(),
-                b.pages.swapped_pages(), b.cgroup.swap_in_bytes_total,
-                b.cgroup.swap_out_bytes_total)
-
-
-def commit_bench(cfg: ScaleConfig, check_states: bool = True,
-                 repeats: int = 2) -> dict:
-    """Time the batched commit path against the scalar oracle.
-
-    Mirrors :func:`fabric_bench`: both fleets replay the same seeded
-    churn, the best of ``repeats`` timing passes is kept, and a separate
-    recording pass holds every per-VM backlog/grant/residency counter to
-    exact (``==``) equality per tick.
-    """
-    timed_fast = min((_CommitDriver(cfg, fast_path=True).run()
-                      for _ in range(repeats)),
-                     key=lambda r: r["wall_s"])
-    timed_ref = min((_CommitDriver(cfg, fast_path=False).run()
-                     for _ in range(repeats)),
-                    key=lambda r: r["wall_s"])
-    keys = ("wall_s", "ticks_per_s", "protocol_us_per_tick",
-            "manager_us_per_tick")
-    result = {
-        "hosts": cfg.commit_hosts,
-        "vms": cfg.commit_hosts * cfg.commit_vms_per_host,
-        "ticks": cfg.commit_ticks,
-        "fast": {k: timed_fast[k] for k in keys},
-        "reference": {k: timed_ref[k] for k in keys},
-    }
-    result["speedup_ticks_per_s"] = (
-        result["fast"]["ticks_per_s"] / result["reference"]["ticks_per_s"])
-    result["speedup_protocol"] = (
-        result["reference"]["protocol_us_per_tick"]
-        / result["fast"]["protocol_us_per_tick"])
-    #: the headline: manager pre-tick + commit drain alone (the device
-    #: arbitration between them is the same code on both paths)
-    result["speedup_manager"] = (
-        result["reference"]["manager_us_per_tick"]
-        / result["fast"]["manager_us_per_tick"])
-    if check_states:
-        rec_fast = _CommitDriver(cfg, fast_path=True).run(record=True)
-        rec_ref = _CommitDriver(cfg, fast_path=False).run(record=True)
-        mismatches = sum(
-            1 for a, b in zip(rec_fast["states"], rec_ref["states"])
-            if a != b)
-        result["states_match"] = mismatches == 0
-        result["state_ticks_compared"] = len(rec_fast["states"])
-        result["state_mismatch_ticks"] = mismatches
     return result
 
 
@@ -599,18 +396,15 @@ def cluster_bench(cfg: ScaleConfig, profile: bool = True,
 
 def run_scale(cfg: ScaleConfig, check_grants: bool = True,
               with_cluster: bool = True, profile: bool = True,
-              with_commit: bool = True, tracer=None,
-              repeats: int = 2) -> dict:
-    """The full scale probe: fabric + commit micro-benches, cluster
-    macro-bench. ``repeats=1`` halves the timing cost of configs where
-    the reference arbiter dominates (the tier-3 datapoint)."""
+              tracer=None, repeats: int = 2) -> dict:
+    """The full scale probe: fabric micro-bench, cluster macro-bench.
+    ``repeats=1`` halves the timing cost of configs where the reference
+    arbiter dominates (the tier-3 datapoint)."""
     out = {
         "config": asdict(cfg),
         "fabric": fabric_bench(cfg, check_grants=check_grants,
                                repeats=repeats),
     }
-    if with_commit:
-        out["commit"] = commit_bench(cfg, check_states=check_grants)
     if with_cluster:
         out["cluster"] = cluster_bench(cfg, profile=profile, tracer=tracer)
     return out
@@ -635,27 +429,12 @@ def check_regression(current: dict, baseline: dict,
     gate("fabric fast ticks/s",
          current["fabric"]["fast"]["ticks_per_s"],
          baseline["fabric"]["fast"]["ticks_per_s"])
-    if "aggregated" in current["fabric"] \
-            and "aggregated" in baseline["fabric"]:
-        gate("fabric aggregated ticks/s",
-             current["fabric"]["aggregated"]["ticks_per_s"],
-             baseline["fabric"]["aggregated"]["ticks_per_s"])
-    if "commit" in current and "commit" in baseline:
-        gate("commit fast ticks/s",
-             current["commit"]["fast"]["ticks_per_s"],
-             baseline["commit"]["fast"]["ticks_per_s"])
     if "cluster" in current and "cluster" in baseline:
         gate("cluster ticks/s",
              current["cluster"]["ticks_per_s"],
              baseline["cluster"]["ticks_per_s"])
     if not current["fabric"].get("grants_match", True):
         failures.append("fast-path grants diverged from the reference")
-    if not current["fabric"].get("aggregated_grants_match", True):
-        failures.append(
-            "aggregated-fill grants diverged from the reference")
-    if not current.get("commit", {}).get("states_match", True):
-        failures.append(
-            "batched commit state diverged from the scalar oracle")
     return failures
 
 
@@ -684,40 +463,10 @@ def format_summary(res: dict) -> list[str]:
         f"  speedup   {fab['speedup_ticks_per_s']:.1f}x ticks/s, "
         f"{fab['speedup_arbiter']:.1f}x arbiter",
     ]
-    if "aggregated" in fab:
-        lines.insert(1, (
-            f"  aggregated{fab['aggregated']['ticks_per_s']:10,.0f}"
-            f" ticks/s   "
-            f"{fab['aggregated']['arbiter_us_per_tick']:8,.0f} us/tick"
-            f"  ({fab['speedup_aggregated']:.1f}x vs reference)"))
     if "grants_match" in fab:
         lines.append(
             f"  grants    {'identical' if fab['grants_match'] else 'DIVERGED'}"
             f" over {fab['grant_ticks_compared']} ticks")
-        if "aggregated_grants_match" in fab:
-            lines.append(
-                f"  agg-grants "
-                f"{'identical' if fab['aggregated_grants_match'] else 'DIVERGED'}"
-                f" over {fab['grant_ticks_compared']} ticks")
-    if "commit" in res:
-        com = res["commit"]
-        lines.append(
-            f"commit: {com['hosts']} hosts / {com['vms']} VMs, "
-            f"{com['ticks']} ticks")
-        lines.append(
-            f"  batched   {com['fast']['ticks_per_s']:10,.0f} ticks/s   "
-            f"{com['fast']['manager_us_per_tick']:8,.0f} mgr-us/tick")
-        lines.append(
-            f"  oracle    {com['reference']['ticks_per_s']:10,.0f} ticks/s   "
-            f"{com['reference']['manager_us_per_tick']:8,.0f} mgr-us/tick")
-        lines.append(
-            f"  speedup   {com['speedup_manager']:.1f}x manager, "
-            f"{com['speedup_protocol']:.1f}x commit protocol")
-        if "states_match" in com:
-            lines.append(
-                f"  states    "
-                f"{'identical' if com['states_match'] else 'DIVERGED'}"
-                f" over {com['state_ticks_compared']} ticks")
     if "cluster" in res:
         clu = res["cluster"]
         lines.append(

@@ -6,8 +6,9 @@ scenario — not approximately equal: the fast path replays the reference
 algorithm's float operations in the same order, so ``==`` is the
 contract. These tests drive twin networks (one per implementation)
 through identical randomized churn — multi-priority demand, flow
-open/close, link degradation, fabric partitions, rack topologies — and
-compare every grant, byte counter and link counter exactly.
+open/close, link degradation, fabric partitions, rack and three-tier
+topologies, many parallel lanes sharing one path — and compare every
+grant, byte counter and link counter exactly.
 """
 
 import random
@@ -233,3 +234,159 @@ def test_fast_path_scalar_vector_boundary():
         for p in pairs:
             twin.set_demand(p, demand)
         twin.tick(dt=1.0)
+
+
+def tiered_topo():
+    """2 AZs x 2 pods x 2 racks x 2 hosts with tapered uplinks."""
+    t = Topology.tiered(2, 2, 2, uplink_bps=2e6, oversubscription=2.0)
+    for rack in t.racks:
+        for h in range(2):
+            t.assign(f"{rack}h{h}", rack)
+    return t
+
+
+def tiered_hosts():
+    t = Topology.tiered(2, 2, 2, uplink_bps=2e6)
+    return [f"{rack}h{h}" for rack in t.racks for h in range(2)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_fanin_lanes(seed):
+    """Many parallel lanes per (src, dst) pair — VMD-style fan-in, where
+    whole groups of flows share one path and one bottleneck."""
+    rng = random.Random(seed)
+    hosts = [f"h{i}" for i in range(6)]
+    twin = TwinFabric(hosts, bw=1e6)
+    # 4 fan-in groups x 8 lanes each, plus a few singleton flows
+    for _ in range(4):
+        src, dst = rng.sample(hosts, 2)
+        for _ in range(8):
+            twin.open_flow(src, dst, priority=rng.randint(0, 1))
+    for _ in range(6):
+        src, dst = rng.sample(hosts, 2)
+        twin.open_flow(src, dst, priority=rng.randint(0, 1))
+    for _ in range(150):
+        for pair in twin.pairs:
+            if rng.random() < 0.8:
+                twin.set_demand(pair, rng.uniform(0.0, 3e5))
+        twin.tick(dt=0.1)
+    twin.assert_links_identical()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_tiered_topology_churn(seed):
+    """Random churn across a three-tier fabric: flows cross ToR, pod
+    and AZ uplinks, and equal demands land on shared tier paths."""
+    rng = random.Random(seed)
+    hosts = tiered_hosts()
+    twin = TwinFabric(hosts, bw=1e6, topology_factory=tiered_topo)
+    for _ in range(30):
+        src, dst = rng.sample(hosts, 2)
+        twin.open_flow(src, dst, priority=rng.randint(0, 2))
+    for _ in range(120):
+        for pair in twin.pairs:
+            twin.set_demand(pair, rng.uniform(0.0, 4e5))
+        if twin.pairs and rng.random() < 0.05:
+            twin.close_pair(rng.choice(twin.pairs))
+        if rng.random() < 0.1:
+            src, dst = rng.sample(hosts, 2)
+            twin.open_flow(src, dst, priority=rng.randint(0, 2))
+        twin.tick(dt=0.1)
+    twin.assert_links_identical()
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_differential_tiered_faults(seed):
+    """Degraded NICs and an AZ-shaped partition on the tiered fabric."""
+    rng = random.Random(seed)
+    hosts = tiered_hosts()
+    az0 = [h for h in hosts if h.startswith("az0")]
+    twin = TwinFabric(hosts, bw=1e6, topology_factory=tiered_topo)
+    for _ in range(24):
+        src, dst = rng.sample(hosts, 2)
+        twin.open_flow(src, dst, priority=rng.randint(0, 1))
+    degraded = set()
+    for step in range(120):
+        for pair in twin.pairs:
+            twin.set_demand(pair, rng.uniform(0.0, 3e5))
+        roll = rng.random()
+        if roll < 0.05:
+            h = rng.choice(hosts)
+            twin.degrade_nic(h, rng.choice([0.0, 0.25, 0.5]))
+            degraded.add(h)
+        elif roll < 0.10 and degraded:
+            twin.restore_nic(degraded.pop())
+        if step == 40:
+            twin.set_partition([az0])
+        if step == 80:
+            twin.clear_partition()
+        twin.tick(dt=0.1)
+    twin.assert_links_identical()
+
+
+def test_equal_demand_lanes_split_exactly():
+    """16 identical lanes over one bottleneck: each gets capacity/16."""
+    twin = TwinFabric(["a", "b"], bw=1600.0)
+    lanes = [twin.open_flow("a", "b") for _ in range(16)]
+    for lane in lanes:
+        twin.set_demand(lane, 1000.0)
+    twin.tick(dt=1.0)
+    for lane in lanes:
+        assert lane[0].granted == 100.0
+
+
+def test_mixed_demands_peel_in_order():
+    """Small-demand lanes saturate and leave the fill while big lanes on
+    the same path keep absorbing headroom: the ascending-demand peel
+    works per flow, not per path."""
+    twin = TwinFabric(["a", "b", "c"], bw=1000.0)
+    smalls = [twin.open_flow("a", "b") for _ in range(8)]
+    bigs = [twin.open_flow("a", "b") for _ in range(8)]
+    other = twin.open_flow("a", "c")
+    for _ in range(5):
+        for f in smalls:
+            twin.set_demand(f, 10.0)
+        for f in bigs:
+            twin.set_demand(f, 500.0)
+        twin.set_demand(other, 500.0)
+        twin.tick(dt=1.0)
+        # smalls fully satisfied; the rest split what remains
+        for f in smalls:
+            assert f[0].granted == 10.0
+        for f in bigs:
+            assert f[0].granted == pytest.approx(
+                (1000.0 - 80.0) / 9, rel=1e-12)
+
+
+def test_priority_classes_stay_separate():
+    """Lanes of different priorities between the same pair are filled
+    as separate classes: class 0 drains first, exactly."""
+    twin = TwinFabric(["a", "b"], bw=100.0)
+    paging = [twin.open_flow("a", "b", priority=0) for _ in range(14)]
+    bulk = [twin.open_flow("a", "b", priority=1) for _ in range(14)]
+    for _ in range(3):
+        for f in paging:
+            twin.set_demand(f, 5.0)
+        for f in bulk:
+            twin.set_demand(f, 100.0)
+        twin.tick(dt=1.0)
+        for f in paging:
+            assert f[0].granted == 5.0
+        total_bulk = sum(f[0].granted for f in bulk)
+        assert total_bulk == pytest.approx(30.0)
+
+
+def test_fill_converges_on_a_class_larger_than_10k_flows():
+    """Each iteration of a distinct-demand class freezes one flow, so a
+    10,001-flow class needs 10,001 iterations; the fill must not mistake
+    that for a stalled loop. (The reference fill is quadratic at this
+    size, so only the default network runs.)"""
+    net = Network(default_bandwidth_bps=1e15)
+    net.add_host("a")
+    net.add_host("b")
+    flows = [net.open_flow("a", "b") for _ in range(10_001)]
+    for d, f in enumerate(flows, start=1):
+        f.demand = float(d)
+    net.arbitrate(0.1)
+    assert [f.granted for f in flows] == [float(d) for d in
+                                           range(1, 10_002)]

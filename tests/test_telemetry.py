@@ -331,9 +331,9 @@ def test_net_utilization_zero_capacity_is_full_pressure():
     idx.stop()
 
 
-def test_granted_by_host_sees_aggregated_flows():
+def test_granted_by_host_sees_vector_filled_flows():
     """Per-host (tx, rx) accounting must be identical whether the
-    arbiter ran the aggregated fill or the per-flow reference — flow
+    arbiter ran the vectorized fill or the per-flow reference — flow
     grants are the telemetry contract, not arbiter internals."""
     from repro.net import Network
     w = small_world()
@@ -342,8 +342,7 @@ def test_granted_by_host_sees_aggregated_flows():
     for h in ("h1", "h2"):
         ref.add_host(h)
     # 16 parallel lanes h1->h2 in one class: enough to clear the
-    # scalar-batch cutoff, so the default network aggregates them
-    assert w.network.aggregate
+    # scalar-batch cutoff, so the default network fills them vectorized
     ref_flows = []
     for k in range(16):
         w.network.open_flow("h1", "h2", priority=1, name=f"lane{k}")
