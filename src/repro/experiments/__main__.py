@@ -212,7 +212,8 @@ def cmd_scale(args) -> int:
         print(f"  wrote {args.json}")
     rc = 0
     if not res["fabric"].get("grants_match", True):
-        print("  FAIL: fast-path grants diverged from the reference oracle")
+        print("  FAIL: default-path grants broke the max-min certificate "
+              "or diverged from the reference oracle")
         rc = 1
     if args.min_speedup is not None:
         speedup = res["fabric"]["speedup_ticks_per_s"]
@@ -511,8 +512,9 @@ def main(argv=None) -> int:
                              "flashcrowd: clone vs full-copy, gated on "
                              "time to N serving replicas")
     parser.add_argument("--no-check", action="store_true",
-                        help="scale: skip the fast-vs-reference grant "
-                             "equality check (timing only)")
+                        help="scale: skip the grant check (certificate "
+                             "and agreement with the reference; timing "
+                             "only)")
     parser.add_argument("--fabric-only", action="store_true",
                         help="scale: skip the end-to-end cluster bench")
     args = parser.parse_args(argv)

@@ -17,6 +17,7 @@ from repro.net.link import Link
 from repro.net.flow import Flow
 from repro.net.network import Network
 from repro.net.channel import ChannelClosed, StreamChannel, TransferJob
+from repro.net.certificate import maxmin_violations
 
 __all__ = ["ChannelClosed", "Flow", "Link", "Network", "StreamChannel",
-           "TransferJob"]
+           "TransferJob", "maxmin_violations"]

@@ -6,7 +6,7 @@ during arbitration; owners read it during *commit*. Demands do not persist
 across ticks — an owner with a backlog re-declares every tick (the
 :class:`~repro.net.channel.StreamChannel` helper does this bookkeeping).
 
-``demand`` is a property: on fast-path networks, setting a positive
+``demand`` is a property: on default-path networks, setting a positive
 demand registers the flow in the network's active set for the coming
 tick, so the arbiter touches only flows that actually want bytes instead
 of scanning every idle flow in the fabric.
@@ -40,7 +40,7 @@ class Flow:
 
     __slots__ = ("name", "links", "priority", "_demand", "granted",
                  "total_bytes", "active", "src", "dst",
-                 "_registry", "_marked", "_seq", "_lids", "_link_ids")
+                 "_registry", "_marked", "_seq")
 
     def __init__(self, name: str, links: Sequence[Link], priority: int = 1,
                  src: str = "", dst: str = ""):
@@ -58,17 +58,13 @@ class Flow:
         self.total_bytes = 0.0
         #: closed flows are skipped by the arbiter and may be reaped
         self.active = True
-        # -- fast-path bookkeeping (set by Network.open_flow) --------------
+        # -- registry bookkeeping (set by Network.open_flow) ----------------
         #: owning network's flow registry (None on reference-path networks)
         self._registry = None
         #: already queued in the registry's pending-active list this tick
         self._marked = False
         #: open order; canonical arbitration order within a tick
         self._seq = 0
-        #: interned link indices as a plain tuple (scalar fill path)
-        self._lids: tuple[int, ...] = ()
-        #: interned link indices as an ndarray (vectorized fill path)
-        self._link_ids = None
 
     @property
     def demand(self) -> float:

@@ -1,36 +1,36 @@
 """The network arbiter: hosts, flows, and max-min fair allocation.
 
-Every tick, :meth:`Network.arbitrate` performs progressive filling
-(water-filling) of flow rates subject to link capacities and flow demands,
-one strict priority class at a time. This is the standard fluid
-approximation of TCP sharing on a switched Ethernet and is what makes the
-paper's contention effects emerge: migration traffic squeezing application
-traffic on the source NIC, demand-paging requests contending with the
-active push, and VMD reads sharing the destination NIC with page fetches
-from the source.
+Every tick, :meth:`Network.arbitrate` grants each flow its max-min fair
+share of link capacity subject to flow demands, one strict priority
+class at a time. This is the standard fluid approximation of TCP
+sharing on a switched Ethernet and is what makes the paper's contention
+effects emerge: migration traffic squeezing application traffic on the
+source NIC, demand-paging requests contending with the active push, and
+VMD reads sharing the destination NIC with page fetches from the source.
 
 Two arbitration implementations share that contract:
 
 * the **reference path** (``fast_path=False``) is the original per-tick
   algorithm: rebuild a link→headroom dict, scan every flow, run
-  dict-based progressive filling — simple, and kept as the oracle;
-* the **fast path** (the default) keeps a persistent flow registry —
-  links are interned to integer indices at ``open_flow`` time, setting a
-  positive demand enqueues the flow in the tick's active set, and the
-  progressive filling runs over a reusable NumPy headroom array (a
-  scalar loop for small priority classes, ``bincount``/``subtract.at``
-  vectorization for large ones). Idle flows cost nothing. The fast path
-  performs the *same* floating-point operations in the same order as the
-  reference, so grants are bit-identical — enforced by the randomized
-  differential tests in ``tests/test_net_fastpath.py``.
+  dict-based progressive filling — simple, and kept as the test oracle;
+* the **default path** keeps a persistent flow registry — setting a
+  positive demand enqueues the flow in the tick's active set, so idle
+  flows cost nothing — and fills each class with one event-driven
+  water fill (:meth:`Network._fill_levels`, O(E log L) per class).
+
+The contract is the max-min bottleneck certificate (Bertsekas &
+Gallager, *Data Networks* §6.5), not a float-for-float replay: every
+grant is at most its demand, and every under-served flow crosses a link
+saturated by its own and higher classes on which no flow of its class
+gets more. :func:`repro.net.certificate.maxmin_violations` checks it;
+the two paths agree to rel 1e-9 (``tests/test_net_fastpath.py``).
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from repro.net.flow import Flow
 from repro.net.link import Link
@@ -39,15 +39,12 @@ from repro.telemetry.instruments import NULL_METRICS
 __all__ = ["Network", "NIC"]
 
 _seq_of = operator.attrgetter("_seq")
+_demand_of = operator.attrgetter("_demand")
 
-#: priority classes at or below this size use the scalar filling loop —
-#: NumPy call overhead beats the win for a handful of flows (the common
-#: case: one demand-paging flow in class 0, a few migrations in class 1)
-_SCALAR_BATCH = 12
-
-#: progressive-filling iterations that freeze no flow before a fill
-#: gives up. Every other iteration retires at least one flow, so those
-#: are bounded by the class size; only a stalled loop can hit this.
+#: reference progressive-filling iterations that freeze no flow before
+#: the fill gives up. Every other iteration retires at least one flow,
+#: so those are bounded by the class size; only a stalled loop can hit
+#: this.
 _MAX_STALLS = 10000
 
 
@@ -72,8 +69,8 @@ class Network:
         engine.add_arbiter(net)
 
     ``fast_path=False`` selects the reference arbiter (the oracle the
-    differential tests compare against); grants are bit-identical either
-    way.
+    differential tests compare against); both paths satisfy the max-min
+    certificate and agree to rel 1e-9.
     """
 
     def __init__(self, default_bandwidth_bps: float = 117e6,
@@ -94,13 +91,7 @@ class Network:
         #: endpoints sit in different groups receive no bandwidth (the
         #: switch fabric is split; fault injection sets/clears this).
         self._partition: dict[str, int] = {}
-        # -- fast-path state -------------------------------------------------
-        #: interned links: Link → index, and index → Link
-        self._link_index: dict[Link, int] = {}
-        self._links: list[Link] = []
-        #: reusable per-link headroom array (bytes this tick); refreshed
-        #: each arbitrate for the links active flows touch
-        self._remaining = np.empty(0, dtype=np.float64)
+        # -- default-path registry -------------------------------------------
         #: flows that declared a positive demand since the last arbitrate
         self._pending: list[Flow] = []
         #: flows granted bytes last tick (their ``granted`` is zeroed at
@@ -188,9 +179,6 @@ class Network:
         self._flow_seq += 1
         flow._seq = self._flow_seq
         if self.fast_path:
-            lids = tuple(self._intern(link) for link in links)
-            flow._lids = lids
-            flow._link_ids = np.asarray(lids, dtype=np.intp)
             flow._registry = self
         self._flows.append(flow)
         return flow
@@ -199,15 +187,7 @@ class Network:
     def flows(self) -> list[Flow]:
         return list(self._flows)
 
-    # -- flow registry (fast path) --------------------------------------------
-    def _intern(self, link: Link) -> int:
-        idx = self._link_index.get(link)
-        if idx is None:
-            idx = len(self._links)
-            self._link_index[link] = idx
-            self._links.append(link)
-        return idx
-
+    # -- flow registry (default path) -----------------------------------------
     def _mark_active(self, flow: Flow) -> None:
         self._pending.append(flow)
 
@@ -240,9 +220,8 @@ class Network:
         """Whether bytes can currently move from ``src`` to ``dst``."""
         if src == dst or not self._partition:
             return True
-        implicit = len(self._partition) + 1  # the "everyone else" group
-        return (self._partition.get(src, implicit)
-                == self._partition.get(dst, implicit))
+        # -1: the implicit "everyone else" group (no group has that id)
+        return self._partition.get(src, -1) == self._partition.get(dst, -1)
 
     # -- arbitration ------------------------------------------------------------
     def arbitrate(self, dt: float) -> None:
@@ -350,10 +329,10 @@ class Network:
                         "progressive filling failed to converge")
             unfrozen = still
 
-    # -- fast implementation ----------------------------------------------------
+    # -- default implementation -------------------------------------------------
     def _arbitrate_fast(self, dt: float) -> None:
-        """Same contract and bit-identical grants as the reference, but
-        O(active flows) per tick instead of O(all flows)."""
+        """The reference's contract in O(active flows) per tick: only
+        flows that declared demand since the last tick are visited."""
         # Zero only last tick's grants instead of scanning every flow.
         for f in self._granted_last:
             f.granted = 0.0
@@ -383,30 +362,12 @@ class Network:
         # self._flows (demand-declaration order is caller-dependent).
         active.sort(key=_seq_of)
 
-        # Refresh per-link headroom for touched links only. Same floats
-        # as the reference's ``capacity_per_tick(dt)``: one multiply.
-        nlinks = len(self._links)
-        if self._remaining.shape[0] < nlinks:
-            self._remaining = np.empty(nlinks, dtype=np.float64)
-        rem, links = self._remaining, self._links
-        srt = np.sort(np.concatenate([f._link_ids for f in active]))
-        if srt.shape[0]:
-            keep = np.empty(srt.shape[0], dtype=bool)
-            keep[0] = True
-            np.not_equal(srt[1:], srt[:-1], out=keep[1:])
-            uids = srt[keep]
-            caps = [links[i].capacity_bps for i in uids.tolist()]
-            rem[uids] = np.asarray(caps, dtype=np.float64) * dt
-
+        remaining: dict[Link, float] = {}
         batches: dict[int, list[Flow]] = {}
         for f in active:
             batches.setdefault(f.priority, []).append(f)
         for prio in sorted(batches):
-            batch = batches[prio]
-            if len(batch) <= _SCALAR_BATCH:
-                self._fill_fast_scalar(batch, rem)
-            else:
-                self._fill_fast_vector(batch, rem)
+            self._fill_levels(batches[prio], remaining, dt)
 
         for f in active:
             f._demand = 0.0
@@ -418,210 +379,84 @@ class Network:
                 granted_now.append(f)
 
     @staticmethod
-    def _fill_fast_scalar(flows: list[Flow], rem: np.ndarray) -> None:
-        """Reference filling loop over the interned headroom array —
-        identical arithmetic, no per-tick dict rebuild."""
-        unfrozen = [f for f in flows if f._demand > 0]
-        for f in list(unfrozen):
-            if not f._lids:
-                f.granted = f._demand
-                unfrozen.remove(f)
+    def _fill_levels(flows: list[Flow], remaining: dict[Link, float],
+                     dt: float) -> None:
+        """Max-min fill of one priority class by level events.
 
-        stalls = 0
-        while unfrozen:
-            counts: dict[int, int] = {}
-            for f in unfrozen:
-                for lid in f._lids:
-                    counts[lid] = counts.get(lid, 0) + 1
-            delta = min(
-                min(rem[lid] / n for lid, n in counts.items()),
-                min(f._demand - f.granted for f in unfrozen),
-            )
-            delta = max(delta, 0.0)
-            for f in unfrozen:
-                f.granted += delta
-                for lid in f._lids:
-                    rem[lid] -= delta
-            eps = 1e-9
-            still = []
-            for f in unfrozen:
-                if f.granted >= f._demand - eps:
-                    f.granted = min(f.granted, f._demand)
-                    continue
-                if any(rem[lid] <= eps for lid in f._lids):
-                    continue
-                still.append(f)
-            if len(still) == len(unfrozen):
-                if delta <= eps:
-                    break
-                stalls += 1
-                if stalls > _MAX_STALLS:  # pragma: no cover - safety net
-                    raise RuntimeError(
-                        "progressive filling failed to converge")
-            unfrozen = still
-
-    @staticmethod
-    def _fill_fast_vector(flows: list[Flow], rem: np.ndarray) -> None:
-        """Vectorized progressive filling for large priority classes.
-
-        Performs the same increment sequence as the reference, with two
-        exactness arguments doing the heavy lifting:
-
-        * headroom is decremented once per (flow, link) incidence via
-          ``np.subtract.at`` — unbuffered, so repeated indices accumulate
-          exactly like the reference's per-flow loop (and within one
-          iteration all incidences subtract the *same* delta, so the
-          incidence order is irrelevant);
-        * every unfrozen flow in a class carries the same accumulated
-          grant ``g`` (all start at zero and receive the same deltas), and
-          float subtraction is monotone, so the reference's
-          ``min(f.demand - f.granted)`` equals ``min(demand) - g``
-          bit-for-bit.
-
-        Together these let the loop keep a single scalar ``g`` and touch
-        per-flow state only when a flow freezes. The class works on a
-        *dense* copy of its links' headroom (written back on exit), so the
-        steady-state iteration is four whole-array NumPy calls with no
-        gathers: divide, min, ``subtract.at``, min. Links whose unfrozen
-        count reaches zero leave the working set via an ``inf`` sentinel
-        (their true headroom is restored at write-back), which keeps them
-        out of both the delta min and the exhausted-link check exactly
-        like the reference's shrinking count dict does.
+        All unfrozen flows share one level. Link *l* saturates at level
+        ``R_l / n_l`` — its headroom left after the grants of frozen
+        flows, over its unfrozen flows — and flow *f* stops at its
+        demand. Each event is the smallest of these: a demand event
+        freezes one flow at its demand (demand wins a tie), a link event
+        freezes every unfrozen flow on that link at the level. Link
+        levels sit in a heap with lazy invalidation (``stamp`` holds each
+        link's live entry id, -1 once no unfrozen flow crosses it), so a
+        class costs O(E log L) for E flow-link incidences on L links.
+        Every event freezes at least one flow, so the loop ends after at
+        most one event per flow. ``remaining`` (headroom per link, filled
+        lazily from capacity) gets this class's leftover, clamped at 0.
         """
-        unfrozen = [f for f in flows if f._demand > 0]
+        members: dict[Link, list[Flow]] = {}
         rest = []
-        for f in unfrozen:
-            if not f._lids:
-                f.granted = f._demand
-            else:
-                rest.append(f)
+        for f in flows:
+            if not f.links:
+                f.granted = f._demand  # intra-host: unconstrained
+                continue
+            rest.append(f)
+            for link in f.links:
+                members.setdefault(link, []).append(f)
         if not rest:
             return
 
-        eps = 1e-9
-        inf = np.inf
-        n = len(rest)
-        ids_raw = np.concatenate([f._link_ids for f in rest])
-        bounds = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.fromiter((len(f._lids) for f in rest),
-                              dtype=np.intp, count=n), out=bounds[1:])
-        demand = [f._demand for f in rest]
-        # the reference's ``demand - eps`` floats (scalar math: identical)
-        demand_me = [d - eps for d in demand]
-        #: flow indices in ascending-demand order: demand-satisfied
-        #: freezes peel a prefix of this walk (fl-subtraction is monotone,
-        #: so min demand also yields the min ``demand - eps`` threshold)
-        order = sorted(range(n), key=demand.__getitem__)
-        ptr = 0
+        headroom = {link: remaining[link] if link in remaining
+                    else link.capacity_per_tick(dt) for link in members}
+        count = {link: len(fs) for link, fs in members.items()}
+        stamp = {link: i for i, link in enumerate(members)}
+        heap = [(headroom[link] / count[link], i, link)
+                for link, i in stamp.items()]
+        heapq.heapify(heap)
+        next_id = len(heap)
+        frozen: set[Flow] = set()
 
-        # Dense link universe for this class: remD is a working copy of
-        # the touched links' headroom, written back before returning.
-        # (np.unique by hand — sort + neighbour mask beats the hash path.)
-        srt = np.sort(ids_raw)
-        keep = np.empty(srt.shape[0], dtype=bool)
-        keep[0] = True
-        np.not_equal(srt[1:], srt[:-1], out=keep[1:])
-        used = srt[keep]
-        ids_all = np.searchsorted(used, ids_raw)
-        entry_flow = np.repeat(np.arange(n, dtype=np.intp),
-                               np.diff(bounds))
-        remD = rem[used]  # fancy indexing copies
-        nu = remD.shape[0]
-        buf = np.empty(nu, dtype=np.float64)
-        ids_list = ids_all.tolist()  # python ints for the freeze loop
-        #: headroom of links that left the working set (count hit zero),
-        #: by dense id — restored at write-back over the inf sentinel
-        stale: dict[int, float] = {}
+        def freeze(f: Flow, g: float) -> None:
+            nonlocal next_id
+            f.granted = g
+            frozen.add(f)
+            for link in f.links:
+                n = count[link] - 1
+                count[link] = n
+                r = headroom[link] - g
+                headroom[link] = r
+                if not n:
+                    stamp[link] = -1
+                elif stamp[link] >= 0:
+                    stamp[link] = next_id
+                    heapq.heappush(heap, (r / n, next_id, link))
+                    next_id += 1
 
-        alive_flags = [True] * n
-        entry_alive = np.ones(ids_all.shape[0], dtype=bool)
-        ids_alive = ids_all
-        ef_alive = entry_flow
-        ef_fresh = True  # ef_alive matches entry_alive (recomputed lazily)
-        #: unfrozen-flow count per link (floats: division needs no cast;
-        #: 1.0 sentinel on stale links keeps the divide inf, not nan)
-        counts = np.bincount(ids_all, minlength=nu).astype(np.float64)
-        d_min = demand[order[0]]
-        d_min_me = d_min - eps
-        n_alive = n
-
-        g = 0.0
-        stalls = 0
-        subtract_at = np.subtract.at
-        divide = np.divide
-        amin = np.minimum.reduce
-        while True:
-            divide(remD, counts, out=buf)
-            delta = float(amin(buf))
-            gap = d_min - g
-            if gap < delta:
-                delta = gap
-            if delta < 0.0:
-                delta = 0.0
-            subtract_at(remD, ids_alive, delta)
-            g += delta
-            # Scalar pre-checks: a flow froze this iteration iff the
-            # smallest alive demand is now met or some working link is
-            # exhausted — only then touch per-flow state.
-            sat_any = g >= d_min_me
-            dead_any = float(amin(remD)) <= eps
-            if not (sat_any or dead_any):
-                if delta <= eps:
-                    break  # nothing can advance (all links exhausted)
-                stalls += 1
-                if stalls > _MAX_STALLS:  # pragma: no cover - safety net
-                    raise RuntimeError(
-                        "progressive filling failed to converge")
+        by_demand = sorted(rest, key=_demand_of)
+        level = 0.0
+        k = 0
+        while k < len(by_demand):
+            f = by_demand[k]
+            if f in frozen:
+                k += 1
                 continue
-            # Freeze demand-satisfied flows and flows on exhausted links
-            # (demand check first, mirroring the reference's ``continue``).
-            frozen: set[int] = set()
-            if sat_any:
-                k = ptr
-                while k < n:
-                    i = order[k]
-                    if alive_flags[i]:
-                        if demand_me[i] > g:
-                            break
-                        frozen.add(i)
-                    k += 1
-            if dead_any:
-                # Flows incident to an exhausted link, via the alive
-                # entry list (no per-link membership bookkeeping).
-                if not ef_fresh:
-                    ef_alive = entry_flow[entry_alive]
-                    ef_fresh = True
-                frozen.update(ef_alive[(remD <= eps)[ids_alive]].tolist())
-            for i in frozen:
-                f = rest[i]
-                f.granted = min(g, f._demand) if g >= demand_me[i] else g
-                alive_flags[i] = False
-                b0 = bounds[i]
-                b1 = bounds[i + 1]
-                entry_alive[b0:b1] = False
-                for lid in ids_list[b0:b1]:
-                    c = counts[lid] - 1.0
-                    if c == 0.0:
-                        stale[lid] = remD[lid]
-                        remD[lid] = inf
-                        counts[lid] = 1.0
-                    else:
-                        counts[lid] = c
-            n_alive -= len(frozen)
-            if not n_alive:
-                break
-            ids_alive = ids_all[entry_alive]
-            ef_fresh = False
-            while not alive_flags[order[ptr]]:
-                ptr += 1
-            d_min = demand[order[ptr]]
-            d_min_me = d_min - eps
-        # Flows still unfrozen at exhaustion keep their accumulated grant.
-        if n_alive:
-            for i, f in enumerate(rest):
-                if alive_flags[i]:
-                    f.granted = g
-        # Write the class's headroom consumption back for later classes.
-        for lid, v in stale.items():
-            remD[lid] = v
-        rem[used] = remD
+            while stamp[heap[0][2]] != heap[0][1]:
+                heapq.heappop(heap)  # stale entry
+            link_level, _, link = heap[0]
+            if f._demand <= link_level:
+                level = f._demand
+                freeze(f, level)
+                k += 1
+                continue
+            heapq.heappop(heap)
+            if link_level > level:
+                level = link_level
+            stamp[link] = -1  # saturated: its flows push no new levels
+            for other in members[link]:
+                if other not in frozen:
+                    freeze(other, level)
+
+        for link, r in headroom.items():
+            remaining[link] = r if r > 0.0 else 0.0

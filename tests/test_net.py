@@ -122,6 +122,25 @@ def test_closed_flow_reaped_and_ignored():
     assert f not in net.flows
 
 
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_partition_implicit_group_never_matches_a_named_group(fast_path):
+    """Hosts named in no group share one implicit group; empty groups
+    ahead of a named one must not give it the implicit group's id."""
+    net = Network(default_bandwidth_bps=100.0, latency_s=0.0,
+                  fast_path=fast_path)
+    for h in ("a", "b", "c"):
+        net.add_host(h)
+    net.set_partition([[], [], ["a"]])
+    assert not net.reachable("a", "b")
+    assert net.reachable("b", "c")
+    cut = net.open_flow("a", "b")
+    ok = net.open_flow("b", "c")
+    cut.demand = ok.demand = 50.0
+    net.arbitrate(dt=1.0)
+    assert cut.granted == 0.0
+    assert ok.granted == 50.0
+
+
 def test_total_bytes_accumulates():
     net = make_net()
     f = net.open_flow("a", "b")

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import Network
+from repro.net import Network, maxmin_violations
 
 
 @st.composite
-def flow_specs(draw):
+def flow_specs(draw, demands=st.floats(min_value=0.0, max_value=1e6)):
     n_hosts = draw(st.integers(2, 5))
     n_flows = draw(st.integers(1, 12))
     flows = []
     for _ in range(n_flows):
         src = draw(st.integers(0, n_hosts - 1))
         dst = draw(st.integers(0, n_hosts - 1))
-        demand = draw(st.floats(min_value=0.0, max_value=1e6))
+        demand = draw(demands)
         prio = draw(st.integers(0, 2))
         flows.append((src, dst, demand, prio))
     return n_hosts, flows
@@ -86,3 +86,35 @@ def test_strict_priority_dominance(spec):
     for i, grant in hi_grants.items():
         assert grant == pytest.approx(flows_hi[i].granted, rel=1e-6,
                                       abs=1e-6)
+
+
+#: demands that often tie a link's fair share exactly (NIC speeds are
+#: multiples of 25 B/s), mixed with arbitrary ones
+TIE_PRONE = st.one_of(st.floats(min_value=0.0, max_value=1e6),
+                      st.sampled_from([12.5, 25.0, 50.0, 100.0, 200.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_specs(demands=TIE_PRONE),
+       st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=5, max_size=5),
+       st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                 st.floats(min_value=1e-3, max_value=10.0)))
+def test_grants_satisfy_the_maxmin_certificate(spec, factors, dt):
+    """On random flow sets, NIC speeds (some degraded or down) and tick
+    lengths, both arbiters' grants pass the max-min bottleneck
+    certificate."""
+    n_hosts, specs = spec
+    for fast_path in (True, False):
+        net = Network(latency_s=0.0, fast_path=fast_path)
+        for i in range(n_hosts):
+            nic = net.add_host(f"h{i}", bandwidth_bps=100.0 * (i + 1))
+            nic.tx.degrade(factors[i])
+            nic.rx.degrade(factors[-1 - i])
+        flows = []
+        for src, dst, demand, prio in specs:
+            f = net.open_flow(f"h{src}", f"h{dst}", priority=prio)
+            f.demand = demand
+            flows.append(f)
+        demands = [(f, f.demand) for f in flows]
+        net.arbitrate(dt=dt)
+        assert maxmin_violations(net, demands, dt) == []
