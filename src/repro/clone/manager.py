@@ -312,11 +312,8 @@ class CloneManager:
         vm = world.vms.get(name)
         if vm is not None:
             if vm.state is not VmState.TERMINATED:
-                vm.terminate()
-            host = world.hosts[replica.host]
-            if host.memory.has_vm(name):
-                host.memory.free_vm_memory(name)
-                host.remove_vm(name)
+                world.terminate_vm(name)
+            world.hosts[replica.host].release_vm(name)
             del world.vms[name]
         self.teardown(name)
 
@@ -422,11 +419,8 @@ class CloneManager:
         world = self.world
         vm = world.vms.get(name)
         if vm is not None and vm.state is not VmState.TERMINATED:
-            vm.terminate()
-        host = world.hosts[replica.host]
-        if host.memory.has_vm(name):
-            host.memory.free_vm_memory(name)
-            host.remove_vm(name)
+            world.terminate_vm(name)
+        world.hosts[replica.host].release_vm(name)
         self.teardown(name)
         self.counters["failed"] += 1
         self.log.append(f"lost {name}: {reason} @{world.now:g}s")

@@ -187,6 +187,17 @@ class World:
         self.vms[name] = vm
         return vm
 
+    def terminate_vm(self, name: str) -> None:
+        """Kill VM ``name`` where it stands (a crash, lost swap data).
+        Every host listing it records the change — past a migration's
+        switch that is both ends — and keeps it listed, dead, until it
+        is removed."""
+        holders = [h for h in self.hosts.values() if name in h.vms]
+        for host in holders:
+            host.terminate_vm(name)
+        if not holders:
+            self.vms[name].terminate()
+
     def add_workload(self, workload, order: int = WORKLOAD_ORDER):
         self.engine.add_participant(workload, order=order)
         return workload

@@ -542,9 +542,7 @@ class MigrationManager:
     def _finish(self) -> None:
         """All state transferred: free the source and complete."""
         self.phase = MigrationPhase.DONE
-        self.src.memory.free_vm_memory(self.vm.name)
-        self.src.memory.unregister_vm(self.vm.name)
-        self.src.vms.pop(self.vm.name, None)
+        self.src.release_vm(self.vm.name)
         self.src_read_q.close()
         self.stream.close()
         if self.workload is not None:
@@ -640,13 +638,10 @@ class MigrationManager:
         self.phase = MigrationPhase.DONE
         self._abort_cleanup()
         if self.vm.state is not VmState.TERMINATED:
-            self.vm.terminate()
+            self.src.terminate_vm(self.vm.name)
         self._drop_incoming_image()
         for host in (self.src, self.dst):
-            if host.memory.has_vm(self.vm.name):
-                host.memory.free_vm_memory(self.vm.name)
-                host.memory.unregister_vm(self.vm.name)
-            host.vms.pop(self.vm.name, None)
+            host.release_vm(self.vm.name)
         self._teardown_transfer()
         self.report.outcome = MigrationOutcome.FAILED
         self.report.failure_reason = reason

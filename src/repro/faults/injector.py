@@ -158,7 +158,7 @@ class FaultInjector:
         for name in sorted(self.world.vms):
             vm = self.world.vms[name]
             if vm.host == spec.target and vm.state is not VmState.TERMINATED:
-                vm.terminate()
+                self.world.terminate_vm(name)
                 killed.append(name)
         return f"killed={','.join(killed)}" if killed else ""
 
@@ -206,7 +206,7 @@ class FaultInjector:
             vm = self.world.vms.get(name)
             if ns.data_lost and vm is not None \
                     and vm.state is not VmState.TERMINATED:
-                vm.terminate()
+                self.world.terminate_vm(name)
                 doomed.append(name)
         detail = f"lose_contents={spec.lose_contents}"
         if doomed:
@@ -231,7 +231,7 @@ class FaultInjector:
             for name in sorted(self.world.vms):
                 vm = self.world.vms[name]
                 if vm.host == host and vm.state is not VmState.TERMINATED:
-                    vm.terminate()
+                    self.world.terminate_vm(name)
                     killed.append(name)
         if self.world.vmd is not None:
             hostset = set(hosts)
@@ -345,7 +345,7 @@ class FaultInjector:
             vm = self.world.vms.get(name)
             if ns.data_lost and vm is not None \
                     and vm.state is not VmState.TERMINATED:
-                vm.terminate()
+                self.world.terminate_vm(name)
 
     def _inject_ssd_degraded(self, spec: FaultSpec) -> str:
         self.world.ssds[spec.target].degrade(spec.severity)

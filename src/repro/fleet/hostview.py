@@ -1,14 +1,21 @@
-"""The host-manager view: one snapshot of cluster state per decision.
+"""The host-manager view: one live row of cluster state per host.
 
 Nova's scheduler never reads hypervisors directly — a host manager
 maintains per-host state records that filters and weighers consume.
-:class:`FleetHostView` is that layer for the sim: :meth:`refresh`
-distills each host into a :class:`HostState` — resident bytes from the
-memory manager, *reserved* bytes from the planner's in-flight ledger
+:class:`FleetHostView` is that layer for the sim: it keeps one
+:class:`HostState` row per host — resident bytes from the memory
+manager, *reserved* bytes from the planner's in-flight ledger
 (migrations underway plus boots inside their boot delay), health from
 the tracker, rack from the topology, live-VM and per-tenant counts —
 so initial placement and rebalancing admission share one headroom
 truth with the migration planner instead of re-deriving their own.
+
+Rows are event-maintained, not rebuilt per decision. A row's topology
+is read once; its live-VM tuple and tenant counts are recounted only
+when the host's :attr:`~repro.host.host.Host.version` moved (a VM was
+placed, removed, or died there); :meth:`FleetHostView.refresh`
+rewrites the scalar fields in place. A row is valid until the next
+refresh.
 
 Drain lifecycle lives here too: :meth:`start_drain` marks a host as
 evacuating (placement filters reject it and the planner stops choosing
@@ -31,7 +38,8 @@ __all__ = ["FleetHostView", "HostState"]
 
 @dataclass
 class HostState:
-    """One host as the placement pipeline sees it."""
+    """One host as the placement pipeline sees it (a live row: the
+    view rewrites it in place at each refresh)."""
 
     name: str
     rack: Optional[str]
@@ -77,12 +85,14 @@ class HostState:
 
 
 class FleetHostView:
-    """Snapshots ``world`` + the planner ledger into host states.
+    """Keeps one :class:`HostState` row per host of ``world``, current
+    with the planner ledger at each :meth:`refresh`.
 
     ``tenant_of`` maps a VM name to its tenant (None for VMs the fleet
-    does not own — filler VMs, pre-placed scenario fixtures).
-    ``exclude`` names hosts that are never placement candidates (VMD
-    donor machines, client hosts).
+    does not own — filler VMs, pre-placed scenario fixtures); a VM's
+    tenant must be known by the time it is placed, or its host marked
+    changed. ``exclude`` names hosts that are never placement
+    candidates (VMD donor machines, client hosts).
     """
 
     def __init__(self, world: "World", planner: "MigrationPlanner",
@@ -93,9 +103,17 @@ class FleetHostView:
         self.planner = planner
         self.health = health
         self.tenant_of = tenant_of or (lambda vm_name: None)
-        self.exclude = set(exclude)
+        self.exclude = frozenset(exclude)
         self.draining: set[str] = set()
         self.retired: set[str] = set()
+        #: name-sorted rows, built by the first refresh
+        self._rows: dict[str, HostState] = {}
+        #: the Host.version each row's VM tuple and tenants reflect
+        self._versions: dict[str, int] = {}
+        #: live VMs per rack / pod / AZ, kept by row recounts
+        self._loads: tuple[dict, dict, dict] = ({}, {}, {})
+        #: what the rows were built against (hosts seen, tenant map)
+        self._built_for: tuple = (-1, None)
 
     # -- drain lifecycle ------------------------------------------------------
     def start_drain(self, host: str) -> None:
@@ -117,58 +135,90 @@ class FleetHostView:
         return host not in self.exclude and host not in self.draining \
             and host not in self.retired
 
-    # -- snapshots ------------------------------------------------------------
+    # -- rows -----------------------------------------------------------------
     def refresh(self) -> dict[str, HostState]:
-        """A fresh, deterministic (name-sorted) cluster snapshot."""
+        """The current, deterministic (name-sorted) cluster state."""
+        hosts = self.world.hosts
+        if self._built_for != (len(hosts), self.tenant_of):
+            self._build_rows()
+        versions = self._versions
+        planner = self.planner
+        reserved_on = planner.reserved_on
+        inflight = planner._inflight
+        health = self.health
+        draining = self.draining
+        retired = self.retired
+        recounted = False
+        for name, row in self._rows.items():
+            host = hosts[name]
+            if host.version != versions[name]:
+                self._recount(row, host)
+                recounted = True
+            memory = host.memory
+            row.usable_bytes = memory.usable_bytes()
+            row.resident_bytes = memory.total_resident_bytes()
+            row.reserved_bytes = reserved_on(name)
+            # ``_name_`` is the member's name without Enum's descriptor
+            row.health = "UP" if health is None \
+                else health.state(name)._name_
+            row.inflight = inflight.get(name, 0)
+            row.draining = name in draining
+            row.retired = name in retired
+        if recounted:
+            racks, pods, azs = self._loads
+            for row in self._rows.values():
+                if row.rack is not None:
+                    row.rack_load = racks.get(row.rack, 0)
+                if row.pod is not None:
+                    row.pod_load = pods.get(row.pod, 0)
+                if row.az is not None:
+                    row.az_load = azs.get(row.az, 0)
+        return dict(self._rows)
+
+    def _build_rows(self) -> None:
+        """One blank row per candidate host, topology read once; the
+        refresh that called this recounts every row."""
         world = self.world
         topo = world.topology
-        rack_loads: dict[str, int] = {}
-        pod_loads: dict[str, int] = {}
-        az_loads: dict[str, int] = {}
-        states: dict[str, HostState] = {}
+        self._rows = {}
+        self._versions = {}
+        self._loads = ({}, {}, {})
         for name in sorted(world.hosts):
             if name in self.exclude:
                 continue
-            host = world.hosts[name]
-            live = []
-            tenants: dict[str, int] = {}
-            for vm_name in sorted(host.vms):
-                if host.vms[vm_name].state is VmState.TERMINATED:
-                    continue
-                live.append(vm_name)
-                tenant = self.tenant_of(vm_name)
-                if tenant is not None:
-                    tenants[tenant] = tenants.get(tenant, 0) + 1
-            rack = topo.rack_of(name) if topo is not None else None
-            pod = topo.pod_of(name) if topo is not None else None
-            az = topo.az_of(name) if topo is not None else None
-            if rack is not None:
-                rack_loads[rack] = rack_loads.get(rack, 0) + len(live)
-            if pod is not None:
-                pod_loads[pod] = pod_loads.get(pod, 0) + len(live)
-            if az is not None:
-                az_loads[az] = az_loads.get(az, 0) + len(live)
-            health = "UP"
-            if self.health is not None:
-                health = self.health.state(name).name
-            states[name] = HostState(
-                name=name, rack=rack, pod=pod, az=az,
-                usable_bytes=host.memory.usable_bytes(),
-                resident_bytes=host.memory.total_resident_bytes(),
-                reserved_bytes=self.planner.reserved_on(name),
-                health=health,
-                inflight=self.planner._inflight.get(name, 0),
-                draining=name in self.draining,
-                retired=name in self.retired,
-                vms=tuple(live), tenants=tenants)
-        for state in states.values():
-            if state.rack is not None:
-                state.rack_load = rack_loads.get(state.rack, 0)
-            if state.pod is not None:
-                state.pod_load = pod_loads.get(state.pod, 0)
-            if state.az is not None:
-                state.az_load = az_loads.get(state.az, 0)
-        return states
+            self._rows[name] = HostState(
+                name=name,
+                rack=topo.rack_of(name) if topo is not None else None,
+                pod=topo.pod_of(name) if topo is not None else None,
+                az=topo.az_of(name) if topo is not None else None,
+                usable_bytes=0.0, resident_bytes=0.0, reserved_bytes=0.0,
+                health="UP", inflight=0, draining=False, retired=False)
+            self._versions[name] = -1
+        self._built_for = (len(world.hosts), self.tenant_of)
+
+    def _recount(self, row: HostState, host) -> None:
+        """Rebuild ``row``'s live-VM tuple and tenant counts from
+        ``host`` and move its fault domains' loads by the difference."""
+        tenant_of = self.tenant_of
+        vms = host.vms
+        live = []
+        tenants: dict[str, int] = {}
+        for vm_name in sorted(vms):
+            if vms[vm_name].state is VmState.TERMINATED:
+                continue
+            live.append(vm_name)
+            tenant = tenant_of(vm_name)
+            if tenant is not None:
+                tenants[tenant] = tenants.get(tenant, 0) + 1
+        delta = len(live) - len(row.vms)
+        row.vms = tuple(live)
+        row.tenants = tenants
+        self._versions[row.name] = host.version
+        if delta:
+            for loads, domain in zip(self._loads,
+                                     (row.rack, row.pod, row.az)):
+                if domain is not None:
+                    loads[domain] = loads.get(domain, 0) + delta
 
     def placeable_states(self) -> list[HostState]:
         """Refreshed states of hosts placement may consider, sorted by

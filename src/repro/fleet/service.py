@@ -201,6 +201,9 @@ class FleetScheduler:
             return  # cancelled (its target host died mid-delay)
         spec = pb.spec
         image = self._clone_image_for(spec)
+        # the tenant is known before the VM lands, so the placement
+        # itself is the host-view event that counts it
+        self.tenant_by_vm[name] = spec.tenant
         if image is not None:
             self.boot_via_clone(spec, pb.host, image)
         else:
@@ -208,7 +211,6 @@ class FleetScheduler:
         # the VM's pages are resident/registered now; retire the claim
         self.planner.release_boot(pb.host, spec.memory_bytes)
         self.running[name] = spec
-        self.tenant_by_vm[name] = spec.tenant
         self.counters["booted"] += 1
         metrics = self.world.metrics
         if metrics.enabled:
@@ -227,6 +229,10 @@ class FleetScheduler:
         (fleet-booted VMs are considered automatically)."""
         self.clone_parents.append(name)
         self.tenant_by_vm[name] = tenant
+        vm = self.world.vms.get(name)
+        if vm is not None and vm.host in self.world.hosts:
+            # already placed: its host's row must recount tenants
+            self.world.hosts[vm.host].mark_changed()
 
     def _clone_image_for(self, spec: "VmSpec"):
         """A usable parent image for ``spec``, capturing one on first
@@ -335,9 +341,8 @@ class FleetScheduler:
             return
         host = self.world.hosts[vm.host]
         self.planner.cancel(name)
-        vm.terminate()
-        host.memory.free_vm_memory(name)
-        host.remove_vm(name)
+        host.terminate_vm(name)
+        host.release_vm(name)
         del self.world.vms[name]
         if self.clone is not None and self.clone.owns(name):
             self.clone.teardown(name)

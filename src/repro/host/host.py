@@ -7,6 +7,11 @@ NIC with the network fabric. VM placement — creating a cgroup, binding a
 swap backend, registering the VM's pages with the memory manager —
 happens through :meth:`place_vm`, which is the moral equivalent of
 starting a KVM/QEMU process inside a fresh cgroup (§IV-B).
+
+``Host`` is the only writer of :attr:`Host.vms`, and every change to the
+VMs it lists — placement, removal, a listed VM dying — bumps
+:attr:`Host.version`, so views derived from the VM set (the fleet host
+view) rebuild a host's row only when it changed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ class Host:
                                         host_os_bytes=host_os_bytes)
         self.cpu = CpuArbiter(name, cpu_cores)
         self.vms: dict[str, VirtualMachine] = {}
+        #: bumped on every change to the listed VMs or their liveness
+        self.version = 0
 
     # -- VM placement ---------------------------------------------------------
     def place_vm(self, vm: VirtualMachine, reservation_bytes: float,
@@ -52,12 +59,35 @@ class Host:
         cgroup = Cgroup(f"cg.{vm.name}", reservation_bytes)
         binding = self.memory.register_vm(vm, cgroup, swap_backend)
         self.vms[vm.name] = vm
+        self.version += 1
         return binding
 
     def remove_vm(self, vm_name: str) -> None:
         """Detach a VM (after it migrated away or terminated)."""
         del self.vms[vm_name]
+        self.version += 1
         self.memory.unregister_vm(vm_name)
+
+    def release_vm(self, vm_name: str) -> None:
+        """Free and unbind whatever this host still holds of ``vm_name``
+        (migration teardown, failure, departure); a no-op for a VM it
+        never had."""
+        if self.memory.has_vm(vm_name):
+            self.memory.free_vm_memory(vm_name)
+            self.memory.unregister_vm(vm_name)
+        if self.vms.pop(vm_name, None) is not None:
+            self.version += 1
+
+    def terminate_vm(self, vm_name: str) -> None:
+        """Kill a VM this host lists (crash, lost data, departure). It
+        stays listed, dead, until it is removed."""
+        self.vms[vm_name].terminate()
+        self.version += 1
+
+    def mark_changed(self) -> None:
+        """Invalidate views of this host's VMs for a change they cannot
+        see here (a listed VM's tenant label was assigned late)."""
+        self.version += 1
 
     def adopt_vm(self, vm: VirtualMachine, binding_from: VmMemoryBinding,
                  backend: Optional[SwapBackend] = None) -> VmMemoryBinding:
@@ -78,6 +108,7 @@ class Host:
         vm.host = self.name
         binding = self.memory.register_vm(vm, cgroup, swap_backend)
         self.vms[vm.name] = vm
+        self.version += 1
         return binding
 
     def __repr__(self) -> str:  # pragma: no cover

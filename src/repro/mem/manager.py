@@ -139,7 +139,13 @@ class HostMemoryManager:
         return self.capacity_bytes - self.host_os_bytes
 
     def total_resident_bytes(self) -> int:
-        return sum(b.pages.resident_bytes() for b in self._bindings.values())
+        # a plain loop: a host binds a VM or two, and a generator's
+        # set-up would cost more than the sum (the fleet view calls
+        # this for every host at every decision)
+        total = 0
+        for b in self._bindings.values():
+            total += b.pages.resident_bytes()
+        return total
 
     def free_bytes(self) -> float:
         return self.usable_bytes() - self.total_resident_bytes()

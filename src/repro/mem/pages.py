@@ -264,19 +264,3 @@ class PageSet:
         self._lru_order = ids[key.argsort()]
         self._lru_head = 0
         self._lru_fresh = _TICK_LIMIT
-
-    def non_present_in(self, lo: int, hi: int) -> np.ndarray:
-        """Page indices in [lo, hi) that are not resident."""
-        return lo + np.flatnonzero(~self.present[lo:hi])
-
-    def sample_non_present(self, lo: int, hi: int, k: int,
-                           rng: np.random.Generator) -> np.ndarray:
-        """Up to ``k`` distinct non-resident pages sampled from [lo, hi).
-
-        Used by the statistical workload model: these are the pages the
-        tick's faulting accesses landed on.
-        """
-        missing = self.non_present_in(lo, hi)
-        if missing.size <= k:
-            return missing
-        return rng.choice(missing, size=k, replace=False)

@@ -18,6 +18,7 @@ must run *between* the two participant phases.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from repro.sim.kernel import Simulator
@@ -87,10 +88,14 @@ class TickEngine:
             raise ValueError(f"dt must be positive, got {dt}")
         self.sim = sim
         self.dt = dt
-        #: (order, seq, participant, runs_pre, runs_commit)
+        #: (order, seq, participant, runs_pre, runs_commit), kept sorted;
+        #: ``seq`` is unique, so two entries never compare past it
         self._participants: list[
             tuple[int, int, TickParticipant, bool, bool]] = []
         self._arbiters: list[tuple[int, int, Arbiter]] = []
+        #: id(registered object) -> its entry in the sorted list above
+        self._participant_entries: dict[int, tuple] = {}
+        self._arbiter_entries: dict[int, tuple] = {}
         #: flattened phase batches, rebuilt only when registration changes
         #: (at hundreds of hosts, per-tick list building dominated _tick)
         self._pre_batch: Optional[tuple[TickParticipant, ...]] = None
@@ -115,44 +120,43 @@ class TickEngine:
         ``("pre",)`` so the commit loop never pays the call (hundreds of
         no-op method calls per tick at cluster scale).
         """
-        if any(x is p for _, _, x, _, _ in self._participants):
+        if id(p) in self._participant_entries:
             raise ValueError(f"participant already registered: {p!r}")
         pre = "pre" in phases
         commit = "commit" in phases
         if not (pre or commit):
             raise ValueError(f"participant needs at least one phase: {p!r}")
         self._seq += 1
-        self._participants.append((order, self._seq, p, pre, commit))
-        self._participants.sort(key=lambda t: (t[0], t[1]))
+        entry = self._participant_entries[id(p)] = (
+            order, self._seq, p, pre, commit)
+        insort(self._participants, entry)
         self._pre_batch = None
         self._commit_batch = None
 
     def remove_participant(self, p: TickParticipant) -> None:
-        for i, (_, _, x, _, _) in enumerate(self._participants):
-            if x is p:
-                del self._participants[i]
-                self._pre_batch = None
-                self._commit_batch = None
-                return
-        raise ValueError(f"participant not registered: {p!r}")
+        entry = self._participant_entries.pop(id(p), None)
+        if entry is None:
+            raise ValueError(f"participant not registered: {p!r}")
+        del self._participants[bisect_left(self._participants, entry)]
+        self._pre_batch = None
+        self._commit_batch = None
 
     def add_arbiter(self, a: Arbiter, order: int = 0) -> None:
         """Register an arbiter; lower ``order`` arbitrates first (the
         network must run before adapters that translate flow grants)."""
-        if any(x is a for _, _, x in self._arbiters):
+        if id(a) in self._arbiter_entries:
             raise ValueError(f"arbiter already registered: {a!r}")
         self._seq += 1
-        self._arbiters.append((order, self._seq, a))
-        self._arbiters.sort(key=lambda t: (t[0], t[1]))
+        entry = self._arbiter_entries[id(a)] = (order, self._seq, a)
+        insort(self._arbiters, entry)
         self._arbiter_batch = None
 
     def remove_arbiter(self, a: Arbiter) -> None:
-        for i, (_, _, x) in enumerate(self._arbiters):
-            if x is a:
-                del self._arbiters[i]
-                self._arbiter_batch = None
-                return
-        raise ValueError(f"arbiter not registered: {a!r}")
+        entry = self._arbiter_entries.pop(id(a), None)
+        if entry is None:
+            raise ValueError(f"arbiter not registered: {a!r}")
+        del self._arbiters[bisect_left(self._arbiters, entry)]
+        self._arbiter_batch = None
 
     def start(self) -> None:
         """Schedule the first tick at ``now + dt``. Idempotent."""

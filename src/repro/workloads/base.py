@@ -365,10 +365,10 @@ class Workload:
         k_dirty = self._round(
             whole_ops * p.write_fraction * p.dirty_pages_per_write)
         if k_dirty > 0:
-            w_mask = pages.present[lo:hi].copy()
+            # the write set is a prefix of the region: sample its view
             w_len = max(1, int((hi - lo) * p.write_region_fraction))
-            w_mask[w_len:] = False
-            idx = self._sample(lo, w_mask, k_dirty)
+            idx = self._sample(lo, pages.present[lo:min(hi, lo + w_len)],
+                               k_dirty, region=hi - lo)
             if idx.size:
                 mm.dirty(self.vm.name, idx)
 
@@ -383,7 +383,11 @@ class Workload:
         frac = x - base
         return base + (1 if self.rng.random() < frac else 0)
 
-    def _sample(self, lo: int, region_mask: np.ndarray, k: int) -> np.ndarray:
+    def _sample(self, lo: int, region_mask: np.ndarray, k: int,
+                region: Optional[int] = None) -> np.ndarray:
         """Sample up to ``k`` distinct pages of a region-relative class,
-        weighted by the access distribution; returns absolute indices."""
-        return lo + self.distribution.sample(region_mask, k, self.rng)
+        weighted by the access distribution; returns absolute indices.
+        ``region_mask`` may cover only a prefix of a ``region``-page
+        region."""
+        return lo + self.distribution.sample(region_mask, k, self.rng,
+                                             region=region)

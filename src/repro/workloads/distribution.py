@@ -13,12 +13,16 @@ A distribution answers two questions about the region ``[lo, hi)``:
   lands in the page class described by a region-relative boolean mask
   (e.g. "missing and swapped");
 * ``sample(mask, k, rng)`` — which ``k`` distinct pages of that class
-  the tick's accesses actually touched.
+  the tick's accesses actually touched. ``mask`` may cover just a
+  prefix of the region (the hot write set); ``region`` then gives the
+  region's full size, so the weights are those of the whole region.
 
 Both are exact under the per-page weight model (no bucketing).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -31,10 +35,11 @@ class AccessDistribution:
     def class_probability(self, mask: np.ndarray) -> float:
         raise NotImplementedError
 
-    def sample(self, mask: np.ndarray, k: int,
-               rng: np.random.Generator) -> np.ndarray:
+    def sample(self, mask: np.ndarray, k: int, rng: np.random.Generator,
+               region: Optional[int] = None) -> np.ndarray:
         """Region-relative indices of up to ``k`` distinct pages in
-        ``mask``, drawn by access probability."""
+        ``mask``, drawn by access probability. ``mask`` may be a prefix
+        of a ``region``-page region (default: ``mask`` is the region)."""
         raise NotImplementedError
 
 
@@ -46,8 +51,8 @@ class UniformAccess(AccessDistribution):
             return 0.0
         return float(np.count_nonzero(mask)) / mask.size
 
-    def sample(self, mask: np.ndarray, k: int,
-               rng: np.random.Generator) -> np.ndarray:
+    def sample(self, mask: np.ndarray, k: int, rng: np.random.Generator,
+               region: Optional[int] = None) -> np.ndarray:
         cand = np.flatnonzero(mask)
         if cand.size <= k:
             return cand
@@ -82,12 +87,12 @@ class ZipfAccess(AccessDistribution):
         w = self._weights_for(mask.size)
         return float(w[mask].sum())
 
-    def sample(self, mask: np.ndarray, k: int,
-               rng: np.random.Generator) -> np.ndarray:
+    def sample(self, mask: np.ndarray, k: int, rng: np.random.Generator,
+               region: Optional[int] = None) -> np.ndarray:
         cand = np.flatnonzero(mask)
         if cand.size <= k:
             return cand
-        w = self._weights_for(mask.size)[cand]
+        w = self._weights_for(mask.size if region is None else region)[cand]
         total = w.sum()
         if total <= 0:
             return rng.choice(cand, size=k, replace=False)

@@ -97,6 +97,26 @@ def test_distribution_invariants(n, data):
     assert pa + pb == pytest.approx(1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400), st.floats(0.01, 1.0), st.integers(1, 60),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_write_set_prefix_sample_matches_the_masked_region(
+        n, fraction, k, seed, zipf):
+    """The workload samples its hot write set from the region's prefix
+    view; it must return the same pages and leave the rng in the same
+    state as the old path, which masked the region's tail off a copy."""
+    dist = ZipfAccess(0.99) if zipf else UniformAccess()
+    present = np.random.default_rng(seed).random(n) < 0.6
+    w_len = max(1, int(n * fraction))
+    w_mask = present.copy()
+    w_mask[w_len:] = False
+    old_rng, new_rng = (np.random.default_rng(seed) for _ in range(2))
+    want = dist.sample(w_mask, k, old_rng)
+    got = dist.sample(present[:w_len], k, new_rng, region=n)
+    assert got.tolist() == want.tolist()
+    assert new_rng.random() == old_rng.random()
+
+
 # -- integration: zipf workload keeps its hot head resident ----------------------
 
 def test_zipf_workload_hot_head_stays_resident():

@@ -191,30 +191,6 @@ def test_lru_ties_are_not_broken_by_index():
     assert other.lru_candidates(100).tolist() == got.tolist()
 
 
-def test_non_present_in():
-    ps = PageSet(6)
-    ps.make_resident(idx(1, 2), tick=0)
-    assert ps.non_present_in(0, 4).tolist() == [0, 3]
-
-
-def test_sample_non_present_bounded_and_distinct():
-    ps = PageSet(100)
-    ps.make_resident(np.arange(50), tick=0)
-    rng = np.random.default_rng(0)
-    got = ps.sample_non_present(0, 100, 10, rng)
-    assert got.size == 10
-    assert len(set(got.tolist())) == 10
-    assert np.all(~ps.present[got])
-
-
-def test_sample_non_present_returns_all_when_few():
-    ps = PageSet(10)
-    ps.make_resident(np.arange(8), tick=0)
-    rng = np.random.default_rng(0)
-    got = ps.sample_non_present(0, 10, 5, rng)
-    assert sorted(got.tolist()) == [8, 9]
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["resident", "swap_out", "dirty",
                                            "drop"]),

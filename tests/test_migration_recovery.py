@@ -103,6 +103,33 @@ def test_abort_after_switch_is_rejected():
         lab.manager.abort("too late")
 
 
+# -- teardown goes through Host: listing and memory bindings agree ------------
+
+def assert_listing_matches_bindings(world):
+    for name, host in sorted(world.hosts.items()):
+        bound = {b.vm_name for b in host.memory.bindings}
+        assert set(host.vms) == bound, name
+
+
+@pytest.mark.parametrize("technique", ["pre-copy", "post-copy", "agile"])
+def test_completed_migration_leaves_listing_and_bindings_agreeing(technique):
+    lab = make_lab(technique)
+    report, _ = run_with_faults(lab, FaultSchedule())
+    assert report.outcome is MigrationOutcome.COMPLETED
+    assert_listing_matches_bindings(lab.world)
+    assert "vm0" in lab.dst.vms and "vm0" not in lab.src.vms
+
+
+def test_failed_migration_leaves_listing_and_bindings_agreeing():
+    lab = make_lab("post-copy")
+    schedule = FaultSchedule(
+        [FaultSpec(FaultKind.HOST_CRASH, "dst", at=2.5)])
+    report, _ = run_with_faults(lab, schedule)
+    assert report.outcome is MigrationOutcome.FAILED
+    assert_listing_matches_bindings(lab.world)
+    assert "vm0" not in lab.src.vms and "vm0" not in lab.dst.vms
+
+
 # -- post-copy: the split-state window is fatal ---------------------------------
 
 def test_postcopy_dst_crash_in_split_state_kills_vm():

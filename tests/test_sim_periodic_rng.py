@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import PeriodicTask, RngStreams, Simulator, TickEngine
 
@@ -67,6 +69,50 @@ def test_tick_engine_duplicate_participant_rejected():
     eng.add_participant(p)
     with pytest.raises(ValueError):
         eng.add_participant(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(0, 5),
+                          st.integers(-2, 2)), max_size=60))
+def test_tick_engine_registration_order_matches_a_full_sort(ops):
+    """After any add/remove sequence the engine runs participants and
+    arbiters in ``(order, registration seq)`` order — what a full sort
+    after every registration gives — and duplicates still raise."""
+    sim = Simulator()
+    eng = TickEngine(sim, dt=1.0)
+    log = []
+    objs = {True: [NullArbiter(log) for _ in range(6)],
+            False: [Recorder(log, f"p{i}") for i in range(6)]}
+    add = {True: eng.add_arbiter, False: eng.add_participant}
+    remove = {True: eng.remove_arbiter, False: eng.remove_participant}
+    keys = {True: {}, False: {}}    # index -> (order, seq)
+    for seq, (is_arb, is_add, i, order) in enumerate(ops):
+        if is_add and i not in keys[is_arb]:
+            add[is_arb](objs[is_arb][i], order=order)
+            keys[is_arb][i] = (order, seq)
+        elif not is_add and i in keys[is_arb]:
+            remove[is_arb](objs[is_arb][i])
+            del keys[is_arb][i]
+
+    def expected(is_arb):
+        ranked = sorted(keys[is_arb], key=keys[is_arb].get)
+        return [objs[is_arb][i] for i in ranked]
+
+    assert [p for _, _, p, _, _ in eng._participants] == expected(False)
+    assert [a for _, _, a in eng._arbiters] == expected(True)
+    for is_arb in (False, True):
+        for i in range(6):
+            with pytest.raises(ValueError):
+                if i in keys[is_arb]:
+                    add[is_arb](objs[is_arb][i])
+                else:
+                    remove[is_arb](objs[is_arb][i])
+    # the order the structure holds is the order a tick runs
+    eng.start()
+    sim.run(until=1.0)
+    names = [p.name for p in expected(False)]
+    assert log == [("pre", n) for n in names] \
+        + [("arb", "a")] * len(keys[True]) + [("commit", n) for n in names]
 
 
 def test_tick_engine_start_idempotent():
