@@ -9,7 +9,6 @@ Usage::
     python -m repro.experiments fig9
     python -m repro.experiments dc            # datacenter rebalance
     python -m repro.experiments churn         # rebalance ping-pong gate
-    python -m repro.experiments scale         # 200-host perf harness
     python -m repro.experiments fleet --quick # tenant-churn scheduler
     python -m repro.experiments fleet --ablate  # swap vs greedy gate
     python -m repro.experiments flashcrowd      # clone scale-out
@@ -22,9 +21,8 @@ to the run and exports it — Prometheus text when PATH ends in ``.prom``,
 deterministic JSONL otherwise (same seed ⇒ byte-identical file).
 
 Heavy experiments (the pressure scenarios, the Figure 7/8 sweeps) take
-minutes of wall-clock time each. ``scale --quick`` is the CI-sized run;
-``scale --json BENCH_scale.json`` records the trajectory, and
-``--baseline <file>`` turns the run into a regression gate.
+minutes of wall-clock time each. Wall-clock performance is measured by
+the repository benchmark (``python3 bench/run.py``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -181,72 +179,6 @@ def cmd_churn(seed=None, quick=False, tracer=None,
         return 1
     print("  gate ok: aware <= naive total migrations")
     return 0
-
-
-def cmd_scale(args) -> int:
-    from repro.perf.scale import (
-        ScaleConfig, check_regression, commit_share, format_summary,
-        load_json, run_scale, write_json)
-    seed = args.seed if args.seed is not None else 0
-    if args.hosts is not None and args.hosts >= 1000:
-        # the tier-3 datapoint: 2 AZs x 5 pods x 10 racks x 10 hosts
-        cfg = ScaleConfig.tier3(seed=seed, quick=args.quick)
-        mode = f"tier3-{'quick' if args.quick else 'full'}"
-    elif args.quick:
-        cfg = ScaleConfig.quick(seed=seed)
-        mode = "quick"
-    else:
-        cfg = ScaleConfig(seed=seed)
-        mode = "full"
-    tracer = make_tracer(args)
-    res = run_scale(cfg, check_grants=not args.no_check,
-                    with_cluster=not args.fabric_only,
-                    tracer=tracer,
-                    repeats=1 if cfg.tiers == 3 else 2)
-    print(f"Scale harness ({mode}, seed {seed}):")
-    for line in format_summary(res):
-        print(f"  {line}")
-    export_trace(tracer, args.trace)
-    if args.json:
-        write_json(res, args.json)
-        print(f"  wrote {args.json}")
-    rc = 0
-    if not res["fabric"].get("grants_match", True):
-        print("  FAIL: default-path grants broke the max-min certificate "
-              "or diverged from the reference oracle")
-        rc = 1
-    if args.min_speedup is not None:
-        speedup = res["fabric"]["speedup_ticks_per_s"]
-        if speedup < args.min_speedup:
-            print(f"  FAIL: fast-path speedup {speedup:.1f}x below "
-                  f"--min-speedup {args.min_speedup:g}")
-            rc = 1
-        else:
-            print(f"  speedup gate ok: {speedup:.1f}x >= "
-                  f"{args.min_speedup:g}x vs reference")
-    if args.max_commit_share is not None:
-        share = commit_share(res)
-        if share is None:
-            print("  FAIL: --max-commit-share needs the profiled "
-                  "cluster bench (drop --fabric-only)")
-            rc = 1
-        elif share > args.max_commit_share:
-            print(f"  FAIL: tick.commit share {share:.2f} exceeds "
-                  f"--max-commit-share {args.max_commit_share:g}")
-            rc = 1
-        else:
-            print(f"  commit-share gate ok: {share:.2f} <= "
-                  f"{args.max_commit_share:g}")
-    if args.baseline:
-        failures = check_regression(res, load_json(args.baseline),
-                                    max_regression=args.max_regression)
-        for failure in failures:
-            print(f"  REGRESSION: {failure}")
-        if failures:
-            rc = 1
-        else:
-            print(f"  baseline check ok (floor {args.max_regression:g}x)")
-    return rc
 
 
 def cmd_fleet(args) -> int:
@@ -437,7 +369,7 @@ def main(argv=None) -> int:
     parser.add_argument("experiment",
                         choices=["fig4", "fig5", "fig6", "fig7", "fig8",
                                  "fig9", "fig10", "tab1", "tab2", "tab3",
-                                 "dc", "churn", "scale", "fleet",
+                                 "dc", "churn", "fleet",
                                  "flashcrowd", "slo"])
     parser.add_argument("--sizes", default="2,4,6,8,10,12",
                         help="VM sizes in GiB for fig7/fig8 sweeps")
@@ -450,8 +382,7 @@ def main(argv=None) -> int:
                         help="override the experiment RNG seed (runs are "
                              "deterministic for a given seed)")
     parser.add_argument("--quick", action="store_true",
-                        help="scale: CI-sized run (32 hosts, 120 ticks); "
-                             "dc: run 30 sim-seconds instead of 60; "
+                        help="dc: run 30 sim-seconds instead of 60; "
                              "churn: 20 sim-seconds instead of 40; "
                              "fleet: 20 s of demand, ~32 s simulated; "
                              "flashcrowd: 6 replicas, 20 s simulated")
@@ -461,7 +392,7 @@ def main(argv=None) -> int:
                              "anything else Chrome trace-event JSON "
                              "(load in chrome://tracing or Perfetto). "
                              "Supported by fig4-6, fig9-10, dc, churn, "
-                             "scale, fleet, flashcrowd, slo.")
+                             "fleet, flashcrowd, slo.")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="attach a live metrics registry and export "
                              "it to PATH: Prometheus text for .prom, "
@@ -472,29 +403,7 @@ def main(argv=None) -> int:
                              "trigger selector instead of the "
                              "SLO-aware one (ablation baseline)")
     parser.add_argument("--json", metavar="PATH", default=None,
-                        help="scale/flashcrowd: write results to PATH "
-                             "as JSON")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="scale: compare against a baseline JSON and "
-                             "exit nonzero on regression")
-    parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="scale: allowed slowdown vs baseline "
-                             "(default 2.0x)")
-    parser.add_argument("--max-commit-share", type=float, default=None,
-                        help="scale: fail if the cluster bench's "
-                             "tick.commit wall-clock share exceeds this "
-                             "fraction (requires the profiled cluster "
-                             "bench)")
-    parser.add_argument("--hosts", type=int, default=None,
-                        help="scale: >= 1000 selects the three-tier "
-                             "1000-host fabric (2 AZs x 5 pods x 10 "
-                             "racks x 10 hosts with fan-in lanes); "
-                             "combine with --quick for the CI-sized "
-                             "variant")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="scale: fail if the default fast path's "
-                             "ticks/s speedup over the reference "
-                             "oracle falls below this factor")
+                        help="flashcrowd: write results to PATH as JSON")
     parser.add_argument("--strategy", choices=["greedy", "swap"],
                         default=None,
                         help="fleet: rebalance strategy (default swap)")
@@ -511,12 +420,6 @@ def main(argv=None) -> int:
                              "demand stream and gate on migration bytes; "
                              "flashcrowd: clone vs full-copy, gated on "
                              "time to N serving replicas")
-    parser.add_argument("--no-check", action="store_true",
-                        help="scale: skip the grant check (certificate "
-                             "and agreement with the reference; timing "
-                             "only)")
-    parser.add_argument("--fabric-only", action="store_true",
-                        help="scale: skip the end-to-end cluster bench")
     args = parser.parse_args(argv)
 
     exp = args.experiment
@@ -545,8 +448,6 @@ def main(argv=None) -> int:
         export_trace(tracer, args.trace)
         export_metrics(metrics, args.metrics)
         return rc
-    elif exp == "scale":
-        return cmd_scale(args)
     elif exp == "fleet":
         return cmd_fleet(args)
     elif exp == "flashcrowd":
@@ -555,8 +456,7 @@ def main(argv=None) -> int:
         return cmd_slo(args)
     else:
         cmd_wss(exp, seed=args.seed, tracer=tracer)
-    if exp != "scale":
-        export_trace(tracer, args.trace)
+    export_trace(tracer, args.trace)
     return 0
 
 

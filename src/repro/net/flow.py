@@ -6,10 +6,10 @@ during arbitration; owners read it during *commit*. Demands do not persist
 across ticks — an owner with a backlog re-declares every tick (the
 :class:`~repro.net.channel.StreamChannel` helper does this bookkeeping).
 
-``demand`` is a property: on default-path networks, setting a positive
-demand registers the flow in the network's active set for the coming
-tick, so the arbiter touches only flows that actually want bytes instead
-of scanning every idle flow in the fabric.
+``demand`` is a property: on a flow opened by a network, setting a
+positive demand registers the flow in the network's active set for the
+coming tick, so the arbiter touches only flows that actually want bytes
+instead of scanning every idle flow in the fabric.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class Flow:
         #: closed flows are skipped by the arbiter and may be reaped
         self.active = True
         # -- registry bookkeeping (set by Network.open_flow) ----------------
-        #: owning network's flow registry (None on reference-path networks)
+        #: owning network's flow registry (None for a flow built outside
+        #: a Network)
         self._registry = None
         #: already queued in the registry's pending-active list this tick
         self._marked = False

@@ -8,22 +8,18 @@ effects emerge: migration traffic squeezing application traffic on the
 source NIC, demand-paging requests contending with the active push, and
 VMD reads sharing the destination NIC with page fetches from the source.
 
-Two arbitration implementations share that contract:
-
-* the **reference path** (``fast_path=False``) is the original per-tick
-  algorithm: rebuild a link→headroom dict, scan every flow, run
-  dict-based progressive filling — simple, and kept as the test oracle;
-* the **default path** keeps a persistent flow registry — setting a
-  positive demand enqueues the flow in the tick's active set, so idle
-  flows cost nothing — and fills each class with one event-driven
-  water fill (:meth:`Network._fill_levels`, O(E log L) per class).
+The network keeps a persistent flow registry: setting a positive demand
+enqueues the flow in the tick's active set, so idle flows cost nothing.
+Each class is filled by one event-driven water fill
+(:meth:`Network._fill_levels`, O(E log L) per class).
 
 The contract is the max-min bottleneck certificate (Bertsekas &
 Gallager, *Data Networks* §6.5), not a float-for-float replay: every
 grant is at most its demand, and every under-served flow crosses a link
 saturated by its own and higher classes on which no flow of its class
-gets more. :func:`repro.net.certificate.maxmin_violations` checks it;
-the two paths agree to rel 1e-9 (``tests/test_net_fastpath.py``).
+gets more. :func:`repro.net.certificate.maxmin_violations` checks it.
+The tests also keep the original progressive-filling arbiter as an
+oracle (``tests/net_reference.py``); grants agree with it to rel 1e-9.
 """
 
 from __future__ import annotations
@@ -40,13 +36,6 @@ __all__ = ["Network", "NIC"]
 
 _seq_of = operator.attrgetter("_seq")
 _demand_of = operator.attrgetter("_demand")
-
-#: reference progressive-filling iterations that freeze no flow before
-#: the fill gives up. Every other iteration retires at least one flow,
-#: so those are bounded by the class size; only a stalled loop can hit
-#: this.
-_MAX_STALLS = 10000
-
 
 class NIC:
     """A host's network interface: a tx link and an rx link."""
@@ -67,21 +56,16 @@ class Network:
         net = Network(default_bandwidth_bps=117e6, latency_s=2e-4)
         net.add_host("source"); net.add_host("dest")
         engine.add_arbiter(net)
-
-    ``fast_path=False`` selects the reference arbiter (the oracle the
-    differential tests compare against); both paths satisfy the max-min
-    certificate and agree to rel 1e-9.
     """
 
     def __init__(self, default_bandwidth_bps: float = 117e6,
-                 latency_s: float = 2e-4, fast_path: bool = True):
+                 latency_s: float = 2e-4):
         if default_bandwidth_bps <= 0:
             raise ValueError("default bandwidth must be positive")
         if latency_s < 0:
             raise ValueError("latency must be non-negative")
         self.default_bandwidth_bps = float(default_bandwidth_bps)
         self.latency_s = float(latency_s)
-        self.fast_path = bool(fast_path)
         self._nics: dict[str, NIC] = {}
         self._flows: list[Flow] = []
         #: optional datacenter topology: inter-rack flows additionally
@@ -91,7 +75,7 @@ class Network:
         #: endpoints sit in different groups receive no bandwidth (the
         #: switch fabric is split; fault injection sets/clears this).
         self._partition: dict[str, int] = {}
-        # -- default-path registry -------------------------------------------
+        # -- flow registry ----------------------------------------------------
         #: flows that declared a positive demand since the last arbitrate
         self._pending: list[Flow] = []
         #: flows granted bytes last tick (their ``granted`` is zeroed at
@@ -178,8 +162,7 @@ class Network:
                     src=src, dst=dst)
         self._flow_seq += 1
         flow._seq = self._flow_seq
-        if self.fast_path:
-            flow._registry = self
+        flow._registry = self
         self._flows.append(flow)
         return flow
 
@@ -187,7 +170,7 @@ class Network:
     def flows(self) -> list[Flow]:
         return list(self._flows)
 
-    # -- flow registry (default path) -----------------------------------------
+    # -- flow registry ----------------------------------------------------------
     def _mark_active(self, flow: Flow) -> None:
         self._pending.append(flow)
 
@@ -229,110 +212,9 @@ class Network:
 
         Priority classes are strict: class 0 is allocated against full
         link capacities; class 1 sees only the remaining headroom, etc.
-        Within a class, allocation is max-min fair with demand caps
-        (progressive filling).
+        Within a class, allocation is max-min fair with demand caps.
+        Only flows that declared demand since the last tick are visited.
         """
-        if self.fast_path:
-            self._arbitrate_fast(dt)
-        else:
-            self._arbitrate_reference(dt)
-        if self.metrics.enabled:
-            granted = 0.0
-            active = 0
-            for f in self._flows:
-                if f.granted > 0:
-                    granted += f.granted
-                    active += 1
-            m = self.metrics
-            m.counter("net.granted_bytes").inc(granted)
-            m.gauge("net.active_flows").set(active)
-            m.rate("net.throughput_bytes").mark(granted)
-
-    # -- reference implementation (the oracle) ---------------------------------
-    def _arbitrate_reference(self, dt: float) -> None:
-        # Reap closed flows.
-        if any(not f.active for f in self._flows):
-            self._flows = [f for f in self._flows if f.active]
-
-        remaining: dict[Link, float] = {}
-        active = [f for f in self._flows if f.demand > 0]
-        if self._partition:
-            # Partitioned flows get nothing; their demand is consumed all
-            # the same so owners re-declare next tick (and heal cleanly).
-            cut = [f for f in active if not self.reachable(f.src, f.dst)]
-            for f in cut:
-                f.demand = 0.0
-            if cut:
-                active = [f for f in active if self.reachable(f.src, f.dst)]
-        for f in self._flows:
-            f.granted = 0.0
-        for f in active:
-            for link in f.links:
-                remaining.setdefault(link, link.capacity_per_tick(dt))
-
-        for prio in sorted({f.priority for f in active}):
-            batch = [f for f in active if f.priority == prio]
-            self._fill(batch, remaining)
-
-        for f in active:
-            # Demands are per-tick declarations: the arbiter consumes them,
-            # so a participant that goes quiet stops receiving bandwidth.
-            f.demand = 0.0
-            if f.granted > 0:
-                f.total_bytes += f.granted
-                for link in f.links:
-                    link.bytes_carried += f.granted
-
-    @staticmethod
-    def _fill(flows: list[Flow], remaining: dict[Link, float]) -> None:
-        """Progressive filling of one priority class (rates in bytes/tick)."""
-        unfrozen = [f for f in flows if f.demand > 0]
-        # Intra-host flows are unconstrained: grant demand immediately.
-        for f in list(unfrozen):
-            if not f.links:
-                f.granted = f.demand
-                unfrozen.remove(f)
-
-        stalls = 0
-        while unfrozen:
-            # Count unfrozen flows per link.
-            counts: dict[Link, int] = {}
-            for f in unfrozen:
-                for link in f.links:
-                    counts[link] = counts.get(link, 0) + 1
-            # The smallest feasible uniform increment.
-            delta = min(
-                min(remaining[l] / n for l, n in counts.items()),
-                min(f.demand - f.granted for f in unfrozen),
-            )
-            delta = max(delta, 0.0)
-            for f in unfrozen:
-                f.granted += delta
-                for link in f.links:
-                    remaining[link] -= delta
-            # Freeze demand-satisfied flows and flows on exhausted links.
-            eps = 1e-9
-            still = []
-            for f in unfrozen:
-                if f.granted >= f.demand - eps:
-                    f.granted = min(f.granted, f.demand)
-                    continue
-                if any(remaining[l] <= eps for l in f.links):
-                    continue
-                still.append(f)
-            if len(still) == len(unfrozen):
-                if delta <= eps:
-                    break  # nothing can advance (all links exhausted)
-                stalls += 1
-                if stalls > _MAX_STALLS:  # pragma: no cover - safety net
-                    raise RuntimeError(
-                        "progressive filling failed to converge")
-            unfrozen = still
-
-    # -- default implementation -------------------------------------------------
-    def _arbitrate_fast(self, dt: float) -> None:
-        """The reference's contract in O(active flows) per tick: only
-        flows that declared demand since the last tick are visited."""
         # Zero only last tick's grants instead of scanning every flow.
         for f in self._granted_last:
             f.granted = 0.0
@@ -350,33 +232,43 @@ class Network:
             if f.active and f._demand > 0:
                 active.append(f)
         if self._partition:
+            # Partitioned flows get nothing; their demand is consumed all
+            # the same, so owners re-declare next tick (and heal cleanly).
             reachable = self.reachable
             cut = [f for f in active if not reachable(f.src, f.dst)]
             for f in cut:
                 f._demand = 0.0
             if cut:
                 active = [f for f in active if reachable(f.src, f.dst)]
-        if not active:
-            return
-        # Canonical order = open order, matching the reference's scan of
-        # self._flows (demand-declaration order is caller-dependent).
-        active.sort(key=_seq_of)
+        if active:
+            # Canonical order = open order (demand-declaration order is
+            # caller-dependent).
+            active.sort(key=_seq_of)
+            remaining: dict[Link, float] = {}
+            batches: dict[int, list[Flow]] = {}
+            for f in active:
+                batches.setdefault(f.priority, []).append(f)
+            for prio in sorted(batches):
+                self._fill_levels(batches[prio], remaining, dt)
+            for f in active:
+                f._demand = 0.0
+                g = f.granted
+                if g > 0:
+                    f.total_bytes += g
+                    for link in f.links:
+                        link.bytes_carried += g
+                    granted_now.append(f)
 
-        remaining: dict[Link, float] = {}
-        batches: dict[int, list[Flow]] = {}
-        for f in active:
-            batches.setdefault(f.priority, []).append(f)
-        for prio in sorted(batches):
-            self._fill_levels(batches[prio], remaining, dt)
-
-        for f in active:
-            f._demand = 0.0
-            g = f.granted
-            if g > 0:
-                f.total_bytes += g
-                for link in f.links:
-                    link.bytes_carried += g
-                granted_now.append(f)
+        if self.metrics.enabled:
+            # granted_now holds exactly the flows granted this tick, in
+            # open order
+            granted = 0.0
+            for f in granted_now:
+                granted += f.granted
+            m = self.metrics
+            m.counter("net.granted_bytes").inc(granted)
+            m.gauge("net.active_flows").set(len(granted_now))
+            m.rate("net.throughput_bytes").mark(granted)
 
     @staticmethod
     def _fill_levels(flows: list[Flow], remaining: dict[Link, float],

@@ -1,4 +1,4 @@
-"""Observability: sim-clock tracing, exporters, and a self-profiler.
+"""Observability: sim-clock tracing, exporters, and a trace schema check.
 
 The tracing layer answers the *why* questions the aggregate
 :class:`~repro.metrics.Recorder` series cannot — which precopy round
@@ -16,12 +16,10 @@ from repro.obs.export import (
     trace_to_jsonl,
 )
 from repro.obs.check import missing_categories, validate_chrome_trace
-from repro.obs.profiler import SelfProfiler
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "SelfProfiler",
     "Span",
     "TraceEvent",
     "Tracer",

@@ -104,9 +104,6 @@ class TickEngine:
         self._seq = 0
         self._started = False
         self.tick_index = 0
-        #: optional :class:`repro.obs.SelfProfiler`; when set, each tick
-        #: phase is wall-clock timed (attribution lands in bench output)
-        self.profiler = None
 
     def add_participant(self, p: TickParticipant, order: int = 0,
                         phases: tuple[str, ...] = ("pre", "commit")) -> None:
@@ -180,9 +177,6 @@ class TickEngine:
         return batch
 
     def _tick(self) -> None:
-        if self.profiler is not None:
-            self._tick_profiled()
-            return
         dt = self.dt
         # Snapshots are cached tuples; registration changes mid-phase
         # invalidate the cache, so the next phase sees the update (the
@@ -197,33 +191,5 @@ class TickEngine:
             a.arbitrate(dt)
         for p in self._commit_snapshot():
             p.commit_tick(dt)
-        self.tick_index += 1
-        self.sim.call_in(dt, self._tick)
-
-    def _tick_profiled(self) -> None:
-        """The tick body with per-phase wall-clock attribution.
-
-        Kept as a separate method so the unprofiled hot path pays one
-        attribute check; arbiters are timed per concrete class, which is
-        what the scale bench wants to see (network vs devices vs VMD).
-        """
-        prof = self.profiler
-        dt = self.dt
-        t0 = prof.start()
-        for p in self._pre_snapshot():
-            p.pre_tick(dt)
-        prof.stop("tick.pre", t0)
-        arbiters = self._arbiter_batch
-        if arbiters is None:
-            arbiters = self._arbiter_batch = tuple(
-                a for _, _, a in self._arbiters)
-        for a in arbiters:
-            t0 = prof.start()
-            a.arbitrate(dt)
-            prof.stop(f"arbitrate.{type(a).__name__}", t0)
-        t0 = prof.start()
-        for p in self._commit_snapshot():
-            p.commit_tick(dt)
-        prof.stop("tick.commit", t0)
         self.tick_index += 1
         self.sim.call_in(dt, self._tick)

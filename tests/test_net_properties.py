@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import Network, maxmin_violations
+from repro.net.certificate import ABS_TOL, REL_TOL
+from tests.net_reference import reference_grants
 
 
 @st.composite
@@ -101,20 +103,23 @@ TIE_PRONE = st.one_of(st.floats(min_value=0.0, max_value=1e6),
                  st.floats(min_value=1e-3, max_value=10.0)))
 def test_grants_satisfy_the_maxmin_certificate(spec, factors, dt):
     """On random flow sets, NIC speeds (some degraded or down) and tick
-    lengths, both arbiters' grants pass the max-min bottleneck
-    certificate."""
+    lengths, the arbiter's grants pass the max-min bottleneck
+    certificate and agree with the reference oracle."""
     n_hosts, specs = spec
-    for fast_path in (True, False):
-        net = Network(latency_s=0.0, fast_path=fast_path)
-        for i in range(n_hosts):
-            nic = net.add_host(f"h{i}", bandwidth_bps=100.0 * (i + 1))
-            nic.tx.degrade(factors[i])
-            nic.rx.degrade(factors[-1 - i])
-        flows = []
-        for src, dst, demand, prio in specs:
-            f = net.open_flow(f"h{src}", f"h{dst}", priority=prio)
-            f.demand = demand
-            flows.append(f)
-        demands = [(f, f.demand) for f in flows]
-        net.arbitrate(dt=dt)
-        assert maxmin_violations(net, demands, dt) == []
+    net = Network(latency_s=0.0)
+    for i in range(n_hosts):
+        nic = net.add_host(f"h{i}", bandwidth_bps=100.0 * (i + 1))
+        nic.tx.degrade(factors[i])
+        nic.rx.degrade(factors[-1 - i])
+    flows = []
+    for src, dst, demand, prio in specs:
+        f = net.open_flow(f"h{src}", f"h{dst}", priority=prio)
+        f.demand = demand
+        flows.append(f)
+    demands = [(f, f.demand) for f in flows]
+    net.arbitrate(dt=dt)
+    assert maxmin_violations(net, demands, dt) == []
+    oracle = reference_grants(net, demands, dt)
+    for f in flows:
+        assert f.granted == pytest.approx(oracle.get(f, 0.0), rel=REL_TOL,
+                                          abs=ABS_TOL)

@@ -1,5 +1,5 @@
-"""Unit tests for repro.obs: tracer semantics, exporters, the schema
-check, and the wall-clock self-profiler."""
+"""Unit tests for repro.obs: tracer semantics, exporters and the schema
+check."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
-    SelfProfiler,
     Tracer,
     chrome_trace_doc,
     missing_categories,
@@ -242,62 +241,6 @@ def test_check_cli(tmp_path, capsys):
     assert main([str(tmp_path / "missing.json")]) == 1
     out = capsys.readouterr().out
     assert "ok:" in out and "FAIL" in out
-
-
-# -- self-profiler -------------------------------------------------------------
-
-def test_profiler_attributes_sections():
-    prof = SelfProfiler()
-    with prof.section("a"):
-        pass
-    with prof.section("a"):
-        pass
-    wrapped = prof.wrap(lambda x: x * 2, "b")
-    assert wrapped(21) == 42
-    rep = prof.report(wall_s=100.0)
-    assert rep["sections"]["a"]["calls"] == 2
-    assert rep["sections"]["b"]["calls"] == 1
-    shares = [s["share"] for s in rep["sections"].values()]
-    assert abs(sum(shares) - 1.0) < 1e-9
-    assert rep["wall_s"] == 100.0
-    assert rep["other_s"] == pytest.approx(100.0 - rep["measured_s"])
-    json.dumps(rep)
-
-
-def test_profiler_wrap_bills_on_exception():
-    prof = SelfProfiler()
-
-    def boom():
-        raise RuntimeError
-
-    with pytest.raises(RuntimeError):
-        prof.wrap(boom, "x")()
-    assert prof.report()["sections"]["x"]["calls"] == 1
-
-
-def test_profiler_empty_report():
-    rep = SelfProfiler().report()
-    assert rep == {"sections": {}, "measured_s": 0.0}
-
-
-def test_profiler_other_bucket_shares():
-    prof = SelfProfiler()
-    with prof.section("a"):
-        pass
-    rep = prof.report(wall_s=100.0)
-    # the unattributed remainder is an explicit section, not a hidden
-    # over-count: every share uses the wall-clock denominator
-    other = rep["sections"]["other"]
-    assert other["calls"] == 0
-    assert other["s"] == pytest.approx(rep["other_s"])
-    assert other["share"] == pytest.approx(rep["other_s"] / 100.0)
-    assert rep["sections"]["a"]["share"] == \
-        pytest.approx(rep["sections"]["a"]["s"] / 100.0)
-    # without wall_s there is no "other" and shares sum to 1.0
-    rep2 = prof.report()
-    assert "other" not in rep2["sections"]
-    assert sum(s["share"] for s in rep2["sections"].values()) == \
-        pytest.approx(1.0)
 
 
 # -- exporter round-trips -------------------------------------------------------

@@ -138,20 +138,3 @@ def test_untraced_run_is_unchanged():
                           until=12.0, tracer=tracer)
     assert res["outcomes"] == res2["outcomes"]
     assert res["plan_log"] == res2["plan_log"]
-
-
-def test_cluster_bench_reports_profile():
-    from repro.perf.scale import ScaleConfig, cluster_bench
-    res = cluster_bench(ScaleConfig.quick())
-    prof = res["profile"]
-    assert prof["measured_s"] > 0.0
-    assert "planner.pump" in prof["sections"]
-    assert any(name.startswith("arbitrate.") for name in prof["sections"])
-    assert "tick.commit" in prof["sections"]
-    json.dumps(prof)
-
-
-def test_cluster_bench_profile_optional():
-    from repro.perf.scale import ScaleConfig, cluster_bench
-    res = cluster_bench(ScaleConfig.quick(), profile=False)
-    assert "profile" not in res

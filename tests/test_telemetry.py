@@ -331,31 +331,23 @@ def test_net_utilization_zero_capacity_is_full_pressure():
     idx.stop()
 
 
-def test_granted_by_host_sees_vector_filled_flows():
-    """Per-host (tx, rx) accounting must be identical whether the
-    arbiter ran the vectorized fill or the per-flow reference — flow
-    grants are the telemetry contract, not arbiter internals."""
-    from repro.net import Network
+def test_granted_by_host_sums_the_network_grants():
+    """Per-host (tx, rx) accounting is the sum of the world network's
+    own flow grants: 16 parallel h1->h2 lanes fill h1's tx link."""
     w = small_world()
     idx = PressureIndex(w, config=PressureConfig(interval_s=0.5))
-    ref = Network(default_bandwidth_bps=10e6, fast_path=False)
-    for h in ("h1", "h2"):
-        ref.add_host(h)
-    # 16 parallel lanes h1->h2 in one class: enough to clear the
-    # scalar-batch cutoff, so the default network fills them vectorized
-    ref_flows = []
-    for k in range(16):
-        w.network.open_flow("h1", "h2", priority=1, name=f"lane{k}")
-        ref_flows.append(ref.open_flow("h1", "h2", priority=1))
-    for f in w.network.flows:
-        f.demand = 2e5
-    for f in ref_flows:
+    lanes = [w.network.open_flow("h1", "h2", priority=1, name=f"lane{k}")
+             for k in range(16)]
+    for f in lanes:
         f.demand = 2e5
     w.network.arbitrate(0.1)
-    ref.arbitrate(0.1)
+    sent = 0.0
+    for f in w.network.flows:
+        sent += f.granted
+    assert sent == pytest.approx(w.network.nic("h1").tx.capacity_per_tick(0.1))
     granted = idx._granted_by_host()
     tx1, rx1 = granted["h1"]
-    assert tx1 == sum(f.granted for f in ref_flows)
+    assert tx1 == sent
     assert rx1 == 0.0
     assert granted["h2"] == (0.0, tx1)
     # and the utilization term folds it per-direction
