@@ -123,15 +123,21 @@ def test_closed_flow_reaped_and_ignored():
     assert f not in net.flows
 
 
-def test_partition_implicit_group_never_matches_a_named_group():
+@pytest.mark.parametrize("flows_first", [True, False])
+def test_partition_implicit_group_never_matches_a_named_group(flows_first):
     """Hosts named in no group share one implicit group; empty groups
-    ahead of a named one must not give it the implicit group's id."""
+    ahead of a named one must not give it the implicit group's id. The
+    partition cuts flows opened before it as well as after it."""
     net = make_net()
+    if flows_first:
+        cut = net.open_flow("a", "b")
+        ok = net.open_flow("b", "c")
     net.set_partition([[], [], ["a"]])
     assert not net.reachable("a", "b")
     assert net.reachable("b", "c")
-    cut = net.open_flow("a", "b")
-    ok = net.open_flow("b", "c")
+    if not flows_first:
+        cut = net.open_flow("a", "b")
+        ok = net.open_flow("b", "c")
     cut.demand = ok.demand = 50.0
     demands = [(cut, 50.0), (ok, 50.0)]
     net.arbitrate(dt=1.0)
