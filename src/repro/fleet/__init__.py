@@ -3,7 +3,7 @@
 The fleet layer closes the loop the single-migration stack leaves
 open: *where VMs come from*. A seeded demand generator produces tenant
 churn (:mod:`~repro.fleet.demand`); a host-manager view snapshots the
-cluster sharing the planner's reservation ledger
+cluster as host columns sharing the planner's reservation ledger
 (:mod:`~repro.fleet.hostview`); a composable filter/weigher pipeline
 picks boot destinations (:mod:`~repro.fleet.pipeline`); the scheduler
 service owns boots, retries, departures, decommission-drain, and crash
@@ -13,7 +13,7 @@ overload with greedy moves or destination swaps
 """
 
 from repro.fleet.demand import DemandConfig, DemandGenerator, VmSpec
-from repro.fleet.hostview import FleetHostView, HostState
+from repro.fleet.hostview import FleetHostView, HostState, HostTable
 from repro.fleet.pipeline import (
     AntiAffinityFilter, AvailabilityFilter, CongestionWeigher,
     DomainSpreadWeigher, Filter, HeadroomFilter, HeadroomWeigher,
@@ -28,7 +28,8 @@ __all__ = [
     "DemandConfig", "DemandGenerator", "DomainSpreadWeigher", "Filter",
     "FleetHostView",
     "FleetScheduler", "FleetServiceConfig", "HeadroomFilter",
-    "HeadroomWeigher", "HealthFilter", "HostState", "PlacementDecision",
+    "HeadroomWeigher", "HealthFilter", "HostState", "HostTable",
+    "PlacementDecision",
     "PlacementPipeline", "RackSpreadWeigher", "RebalanceConfig",
     "SwapRebalancer", "VmSpec", "WatermarkFilter", "Weigher",
 ]

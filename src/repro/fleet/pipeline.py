@@ -1,12 +1,14 @@
 """Filter/weigher placement, in the shape of Nova's FilterScheduler.
 
-Placement is two honest stages. *Filters* are predicates — a host
-either can or cannot take the VM — and every filter sees every host,
-so the surviving set (and the per-filter rejection counts) is the pure
-intersection of the filters, independent of the order they are listed
-in. *Weighers* rank the survivors: each scores every candidate, scores
-are combined as a multiplier-weighted sum, and the best host wins with
-a lexicographic tie-break so placement is deterministic.
+Placement is two honest stages over a :class:`~repro.fleet.hostview.HostTable`
+(the hosts as columns). *Filters* are predicates — a host either can or
+cannot take the VM — and each filter judges every host at once,
+returning a boolean mask, so the surviving set (and the per-filter
+rejection counts) is the pure intersection of the filters, independent
+of the order they are listed in. *Weighers* rank the survivors: each
+scores every host at once, scores are combined as a multiplier-weighted
+sum, and the best host wins with a lexicographic tie-break so placement
+is deterministic.
 
 The pipeline itself is policy-free composition: scenarios build their
 own stack (health, headroom-with-reservations, watermark,
@@ -20,9 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
+from repro.fleet.hostview import HEALTH_STATES
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.demand import VmSpec
-    from repro.fleet.hostview import HostState
+    from repro.fleet.hostview import HostTable
 
 __all__ = [
     "AntiAffinityFilter", "AvailabilityFilter", "CongestionWeigher",
@@ -33,17 +39,18 @@ __all__ = [
 
 
 class Filter:
-    """A pass/fail predicate over one host for one VM spec."""
+    """A pass/fail predicate over every host of a table for one VM spec."""
 
     #: short identifier used in rejection counts and logs
     name = "filter"
 
-    def passes(self, state: "HostState", spec: "VmSpec") -> bool:
+    def mask(self, table: "HostTable", spec: "VmSpec") -> np.ndarray:
+        """``bool[n]``: which hosts of ``table`` may take ``spec``."""
         raise NotImplementedError
 
 
 class Weigher:
-    """Scores one surviving host for one VM spec (higher = better).
+    """Scores every host of a table for one VM spec (higher = better).
 
     ``multiplier`` scales this weigher's contribution to the combined
     score (Nova's ``weight_multiplier`` knob); negative multipliers
@@ -55,7 +62,8 @@ class Weigher:
     def __init__(self, multiplier: float = 1.0):
         self.multiplier = float(multiplier)
 
-    def weigh(self, state: "HostState", spec: "VmSpec") -> float:
+    def weigh(self, table: "HostTable", spec: "VmSpec") -> np.ndarray:
+        """``float[n]``: this weigher's score of each host."""
         raise NotImplementedError
 
 
@@ -65,8 +73,8 @@ class AvailabilityFilter(Filter):
 
     name = "available"
 
-    def passes(self, state, spec):
-        return not state.draining and not state.retired
+    def mask(self, table, spec):
+        return ~(table.draining | table.retired)
 
 
 class HealthFilter(Filter):
@@ -76,9 +84,11 @@ class HealthFilter(Filter):
 
     def __init__(self, allowed: tuple = ("UP",)):
         self.allowed = frozenset(allowed)
+        #: health code -> allowed
+        self._allowed = np.array([s in self.allowed for s in HEALTH_STATES])
 
-    def passes(self, state, spec):
-        return state.health in self.allowed
+    def mask(self, table, spec):
+        return self._allowed[table.health]
 
 
 class HeadroomFilter(Filter):
@@ -92,9 +102,8 @@ class HeadroomFilter(Filter):
     def __init__(self, min_headroom_bytes: float = 0.0):
         self.min_headroom_bytes = float(min_headroom_bytes)
 
-    def passes(self, state, spec):
-        return state.free_bytes - spec.memory_bytes \
-            >= self.min_headroom_bytes
+    def mask(self, table, spec):
+        return table.free - spec.memory_bytes >= self.min_headroom_bytes
 
 
 class WatermarkFilter(Filter):
@@ -110,12 +119,10 @@ class WatermarkFilter(Filter):
                              f"got {fraction}")
         self.fraction = float(fraction)
 
-    def passes(self, state, spec):
-        if state.usable_bytes <= 0:
-            return False
-        projected = (state.resident_bytes + state.reserved_bytes
-                     + spec.memory_bytes)
-        return projected <= self.fraction * state.usable_bytes
+    def mask(self, table, spec):
+        projected = table.resident + table.reserved + spec.memory_bytes
+        return (table.usable > 0) \
+            & (projected <= self.fraction * table.usable)
 
 
 class AntiAffinityFilter(Filter):
@@ -129,21 +136,22 @@ class AntiAffinityFilter(Filter):
             raise ValueError("max_per_host must be >= 1")
         self.max_per_host = int(max_per_host)
 
-    def passes(self, state, spec):
-        return state.tenants.get(spec.tenant, 0) < self.max_per_host
+    def mask(self, table, spec):
+        return table.tenant_count(spec.tenant) < self.max_per_host
 
 
 # -- concrete weighers --------------------------------------------------------
 class HeadroomWeigher(Weigher):
     """Prefers the host with the most post-boot slack, normalized by
-    usable memory so big and small hosts compete fairly."""
+    usable memory so big and small hosts compete fairly (0 on hosts
+    without usable memory)."""
 
     name = "headroom"
 
-    def weigh(self, state, spec):
-        if state.usable_bytes <= 0:
-            return 0.0
-        return (state.free_bytes - spec.memory_bytes) / state.usable_bytes
+    def weigh(self, table, spec):
+        usable = table.usable
+        return np.divide(table.free - spec.memory_bytes, usable,
+                         out=np.zeros(len(usable)), where=usable > 0)
 
 
 class RackSpreadWeigher(Weigher):
@@ -152,8 +160,8 @@ class RackSpreadWeigher(Weigher):
 
     name = "rack-spread"
 
-    def weigh(self, state, spec):
-        return -float(state.rack_load)
+    def weigh(self, table, spec):
+        return -table.rack_load.astype(float)
 
 
 class DomainSpreadWeigher(Weigher):
@@ -177,14 +185,13 @@ class DomainSpreadWeigher(Weigher):
                              f"got {tier_falloff}")
         self.tier_falloff = float(tier_falloff)
 
-    def weigh(self, state, spec):
+    def weigh(self, table, spec):
         k = self.tier_falloff
-        score = -float(state.rack_load)
-        if state.pod is not None:
-            score = -float(state.pod_load) + k * score
-        if state.az is not None:
-            score = -float(state.az_load) + k * score
-        return score
+        score = -table.rack_load.astype(float)
+        score = np.where(np.not_equal(table.pods, None),
+                         -table.pod_load.astype(float) + k * score, score)
+        return np.where(np.not_equal(table.azs, None),
+                        -table.az_load.astype(float) + k * score, score)
 
 
 class CongestionWeigher(Weigher):
@@ -193,8 +200,8 @@ class CongestionWeigher(Weigher):
 
     name = "congestion"
 
-    def weigh(self, state, spec):
-        return -float(state.inflight)
+    def weigh(self, table, spec):
+        return -table.inflight.astype(float)
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -220,32 +227,33 @@ class PlacementPipeline:
         self.filters = list(filters)
         self.weighers = list(weighers)
 
-    def select(self, states: list, spec) -> PlacementDecision:
-        """Pick a host for ``spec`` from candidate ``states``.
+    def select(self, table: "HostTable", spec) -> PlacementDecision:
+        """Pick a host for ``spec`` from the hosts of ``table``.
 
         Deliberately *not* short-circuited: every filter judges every
         host, so rejection counts and the surviving set are the same
         for any ordering of ``self.filters``.
         """
-        rejected = {f.name: 0 for f in self.filters}
-        survivors = []
-        for state in states:
-            ok = True
-            for f in self.filters:
-                if not f.passes(state, spec):
-                    rejected[f.name] += 1
-                    ok = False
-            if ok:
-                survivors.append(state)
-        if not survivors:
+        n = len(table)
+        rejected: dict[str, int] = {}
+        ok = np.ones(n, dtype=bool)
+        for f in self.filters:
+            passed = f.mask(table, spec)
+            rejected[f.name] = rejected.get(f.name, 0) \
+                + n - int(np.count_nonzero(passed))
+            ok &= passed
+        survivors = np.flatnonzero(ok)
+        if survivors.size == 0:
             return PlacementDecision(host=None, reason="no-valid-host",
                                      rejected=rejected)
-        scores = {
-            s.name: sum(w.multiplier * w.weigh(s, spec)
-                        for w in self.weighers)
-            for s in survivors
-        }
-        # max score; ties broken by host name for determinism
-        best = min(scores, key=lambda h: (-scores[h], h))
-        return PlacementDecision(host=best, reason="ok",
-                                 rejected=rejected, scores=scores)
+        names = table.names[survivors].tolist()
+        # each survivor's weighted terms go through the builtin sum in
+        # list order, so its score is bit-identical to a per-row sum on
+        # any interpreter (3.12's sum() is compensated)
+        terms = [(w.multiplier * w.weigh(table, spec))[survivors].tolist()
+                 for w in self.weighers]
+        totals = list(map(sum, zip(*terms))) if terms else [0] * len(names)
+        # max score; ties go to the first host in name order
+        best = names[totals.index(max(totals))]
+        return PlacementDecision(host=best, reason="ok", rejected=rejected,
+                                 scores=dict(zip(names, totals)))

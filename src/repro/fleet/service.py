@@ -166,7 +166,8 @@ class FleetScheduler:
         (boot completes after the boot delay) or None on retry/reject."""
         if attempt == 1:
             self.counters["submitted"] += 1
-        decision = self.pipeline.select(self.view.placeable_states(), spec)
+        decision = self.pipeline.select(self.view.refresh().placeable(),
+                                        spec)
         metrics = self.world.metrics
         if metrics.enabled:
             metrics.inc("fleet.submits")

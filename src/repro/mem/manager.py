@@ -98,6 +98,9 @@ class HostMemoryManager:
         self.capacity_bytes = float(capacity_bytes)
         self.host_os_bytes = float(host_os_bytes)
         self._bindings: dict[str, VmMemoryBinding] = {}
+        #: resident bytes over every binding, moved by the bound page
+        #: sets' transitions (:meth:`PageSet.bind`)
+        self._resident_bytes = 0
         self.tick = 0
 
     # -- registration ----------------------------------------------------------
@@ -113,10 +116,12 @@ class HostMemoryManager:
                                            host=self.host),
         )
         self._bindings[vm.name] = binding
+        binding.pages.bind(self)
         return binding
 
     def unregister_vm(self, vm_name: str) -> None:
         binding = self._bindings.pop(vm_name)
+        binding.pages.unbind(self)
         binding.fault_queue.close()
         binding.write_queue.close()
         # The VM's writeback debt departs with it: the queued writes
@@ -139,13 +144,9 @@ class HostMemoryManager:
         return self.capacity_bytes - self.host_os_bytes
 
     def total_resident_bytes(self) -> int:
-        # a plain loop: a host binds a VM or two, and a generator's
-        # set-up would cost more than the sum (the fleet view calls
-        # this for every host at every decision)
-        total = 0
-        for b in self._bindings.values():
-            total += b.pages.resident_bytes()
-        return total
+        """Resident bytes over every binding, in O(1): the bound page
+        sets push each residency change here."""
+        return self._resident_bytes
 
     def free_bytes(self) -> float:
         return self.usable_bytes() - self.total_resident_bytes()

@@ -24,6 +24,12 @@ iteration) into linear work, and it is why external code must never flip
 methods require **unique** index arrays (every caller passes
 ``flatnonzero``- or ``choice(replace=False)``-derived indices).
 
+The same transitions push their byte deltas to the memory managers that
+bind the set (:meth:`PageSet.bind`), so a host's resident total is a
+running counter as well. A set may be bound by more than one manager at
+once, and a manager binding it twice counts it twice, exactly as a sum
+over its bindings would.
+
 The host LRU is incremental. An eviction reads a cached order of the
 resident pages, sorted by ``(last_access, tie rank)`` when it was last
 built, and validates entries lazily; the order is rebuilt only when it
@@ -81,6 +87,9 @@ class PageSet:
         #: running count of set ``present`` bits (kept exact by the
         #: transition methods; O(1) residency queries)
         self._n_resident = 0
+        #: managers binding this set, one entry per binding; each keeps
+        #: a ``_resident_bytes`` total that every transition moves
+        self._owners: list = []
         # incremental LRU (built on the first eviction): resident page ids
         # sorted by (last_access, tie rank), the count of leading entries
         # known dead, and the minimum tick stamped since the build
@@ -124,6 +133,24 @@ class PageSet:
                 f"resident counter drifted: {self._n_resident} != "
                 f"{int(np.count_nonzero(self.present))}")
 
+    # -- manager bindings ------------------------------------------------------
+    def bind(self, manager) -> None:
+        """Count this set in ``manager._resident_bytes`` from now on
+        (its current resident bytes included)."""
+        self._owners.append(manager)
+        manager._resident_bytes += self.resident_bytes()
+
+    def unbind(self, manager) -> None:
+        """Undo one :meth:`bind` of ``manager``."""
+        self._owners.remove(manager)
+        manager._resident_bytes -= self.resident_bytes()
+
+    def _push(self, pages: int) -> None:
+        """Move every binding manager's total by ``pages`` pages."""
+        delta = pages * self.page_size
+        for manager in self._owners:
+            manager._resident_bytes += delta
+
     # -- transitions ---------------------------------------------------------
     def touch(self, idx: np.ndarray, tick: int) -> None:
         """Record access time for LRU; pages must already be present."""
@@ -154,6 +181,8 @@ class PageSet:
         if tick < self._lru_fresh:
             self._lru_fresh = tick
         self._n_resident += newly
+        if newly and self._owners:
+            self._push(newly)
         return newly
 
     def swap_out(self, idx: np.ndarray) -> int:
@@ -168,6 +197,8 @@ class PageSet:
         self.swapped[idx] = True
         self.swap_clean[idx] = True
         self._n_resident -= gone
+        if gone and self._owners:
+            self._push(-gone)
         return gone
 
     def drop(self, idx: np.ndarray) -> int:
@@ -178,6 +209,8 @@ class PageSet:
         self.swapped[idx] = False
         self.swap_clean[idx] = False
         self._n_resident -= gone
+        if gone and self._owners:
+            self._push(-gone)
         return gone
 
     def release_resident(self, idx: np.ndarray) -> int:
@@ -191,6 +224,8 @@ class PageSet:
         gone = int(np.count_nonzero(self.present[idx]))
         self.present[idx] = False
         self._n_resident -= gone
+        if gone and self._owners:
+            self._push(-gone)
         return gone
 
     # -- queries used by eviction and migration --------------------------------

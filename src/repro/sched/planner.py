@@ -358,6 +358,21 @@ class MigrationPlanner:
         return self._reserved.get(host, 0.0) \
             + self._boot_reserved.get(host, 0.0)
 
+    def migration_claims(self) -> dict[str, float]:
+        """Bytes active plans reserve, by destination host (hosts with
+        no claim are absent)."""
+        return dict(self._reserved)
+
+    def boot_claims(self) -> dict[str, float]:
+        """Bytes admitted boots reserve, by target host (hosts with no
+        claim are absent)."""
+        return dict(self._boot_reserved)
+
+    def inflight_counts(self) -> dict[str, int]:
+        """Active migrations per host, as source or destination (hosts
+        with none are absent)."""
+        return dict(self._inflight)
+
     # -- boot reservations ----------------------------------------------------
     def reserve_boot(self, host: str, demand_bytes: float) -> None:
         """Charge an admitted boot against ``host`` until it is placed.

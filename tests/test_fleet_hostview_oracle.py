@@ -1,13 +1,23 @@
-"""The event-maintained fleet host view against a from-scratch rebuild.
+"""The column-based fleet placement against per-row oracles.
 
 :func:`rebuild_states` is the view's original per-decision rebuild,
-kept here as the oracle: every host walked, every row built anew. The
-scenarios below wrap ``FleetHostView.refresh`` so that *every*
-placement and rebalance decision compares each field of each live row
-with the oracle's. Together they cover every event that changes a
-host's VM set: boots and departures under churn with a drain, an
-injector host crash, a VMD data-loss crash, a failed migration
-(``fail_vm``) and clone boots (flash crowd).
+kept here as the oracle: every host walked, every row built anew.
+:func:`~tests.fleet_reference.reference_select` is the original
+per-row pipeline. The scenarios below wrap ``FleetHostView.refresh``
+so that *every* placement and rebalance decision compares each field of
+each row of the host table with the rebuild's, and wrap
+``PlacementPipeline.select`` so that every placement decision equals
+the per-row pipeline's over the rebuilt placeable rows (host, reason,
+rejection counts and scores). Together they cover every event that
+changes a host's VM set: boots and departures under churn with a
+drain, an injector host crash, a VMD data-loss crash, a failed
+migration (``fail_vm``) and clone boots (flash crowd).
+
+The host table's ``reserved`` column trusts the planner's ledger, so
+every run also checks the ledger itself at every placement: migration
+claims per host equal the demand of the active plans into it, and boot
+claims equal the memory of the scheduler's pending boots per target
+host.
 """
 
 from dataclasses import replace
@@ -22,12 +32,14 @@ from repro.fleet.hostview import HostState
 from repro.sim.periodic import PeriodicTask
 from repro.util import MiB
 from repro.vm.vm import VmState
+from tests.fleet_reference import reference_select
 
 
 def rebuild_states(view) -> dict:
     """The oracle: a fresh, name-sorted snapshot built from scratch."""
     world = view.world
     topo = world.topology
+    inflight = view.planner.inflight_counts()
     rack_loads: dict[str, int] = {}
     pod_loads: dict[str, int] = {}
     az_loads: dict[str, int] = {}
@@ -57,13 +69,15 @@ def rebuild_states(view) -> dict:
         health = "UP"
         if view.health is not None:
             health = view.health.state(name).name
+        resident = sum(b.pages.resident_bytes()
+                       for b in host.memory.bindings)
         states[name] = HostState(
             name=name, rack=rack, pod=pod, az=az,
             usable_bytes=host.memory.usable_bytes(),
-            resident_bytes=host.memory.total_resident_bytes(),
+            resident_bytes=resident,
             reserved_bytes=view.planner.reserved_on(name),
             health=health,
-            inflight=view.planner._inflight.get(name, 0),
+            inflight=inflight.get(name, 0),
             draining=name in view.draining,
             retired=name in view.retired,
             vms=tuple(live), tenants=tenants)
@@ -77,11 +91,29 @@ def rebuild_states(view) -> dict:
     return states
 
 
-def check_every_decision(view) -> list:
+def assert_ledger_matches(planner, scheduler) -> None:
+    """Planner claims per host are exactly what the active plans and
+    the pending boots will bring there."""
+    into: dict[str, float] = {}
+    for plan in planner.active.values():
+        into[plan.dst] = into.get(plan.dst, 0.0) + plan.demand_bytes
+    assert planner.migration_claims() == into
+    boots: dict[str, float] = {}
+    for pb in scheduler.pending.values():
+        boots[pb.host] = boots.get(pb.host, 0.0) + pb.spec.memory_bytes
+    assert planner.boot_claims() == boots
+
+
+def check_every_decision(scenario) -> list:
     """Make every ``view.refresh()`` (placement, rebalance, reporting)
-    compare its rows with the oracle; returns the list of checked
-    decision times."""
+    compare its rows with the rebuild, and every placement check the
+    planner ledger and compare its decision with the per-row
+    pipeline's; returns the placement decision times."""
+    view = scenario.view
+    scheduler = scenario.scheduler
+    pipeline = scheduler.pipeline
     live_refresh = view.refresh
+    live_select = pipeline.select
     checked = []
 
     def refresh():
@@ -91,10 +123,24 @@ def check_every_decision(view) -> list:
         for name, row in want.items():
             assert got[name] == row, \
                 f"{name} @{view.world.now:g}s: {got[name]} != {row}"
+        return got
+
+    def select(table, spec):
+        assert_ledger_matches(view.planner, scheduler)
+        got = live_select(table, spec)
+        rows = [s for s in rebuild_states(view).values()
+                if not s.draining and not s.retired]
+        want = reference_select(rows, pipeline.filters, pipeline.weighers,
+                                spec)
+        when = f"{spec.name} @{view.world.now:g}s"
+        assert (got.host, got.reason) == (want.host, want.reason), when
+        assert got.rejected == want.rejected, when
+        assert got.scores == want.scores, when
         checked.append(view.world.now)
         return got
 
     view.refresh = refresh
+    pipeline.select = select
     return checked
 
 
@@ -120,7 +166,7 @@ def dead_vms(world) -> int:
 
 def test_churn_with_drain_matches_oracle():
     fleet = make_fleet(fleet_quick_config(seed=1))
-    checked = check_every_decision(fleet.view)
+    checked = check_every_decision(fleet)
     fleet.run()
     c = fleet.scheduler.counters
     assert c["booted"] > 0 and c["departed"] > 0
@@ -161,7 +207,7 @@ def test_host_crash_and_failed_migration_match_oracle(monkeypatch):
     fails = FailCounter(monkeypatch)
     schedule = FaultSchedule([FaultSpec(FaultKind.HOST_CRASH, src, at)])
     fleet = make_fleet(fleet_quick_config(seed=0), schedule)
-    checked = check_every_decision(fleet.view)
+    checked = check_every_decision(fleet)
     fleet.run()
     assert fails.n >= 1            # the crash failed a running migration
     assert dead_vms(fleet.world) >= 1
@@ -183,7 +229,7 @@ def test_vmd_data_loss_crash_matches_oracle():
                 world.vmd.namespaces[name].preload(8 * MiB)
 
     world.sim.call_at(at - 0.05, give_every_vm_swap_data)
-    checked = check_every_decision(fleet.view)
+    checked = check_every_decision(fleet)
     fleet.run()
     doomed = [n for n, ns in world.vmd.namespaces.items() if ns.data_lost]
     assert doomed
@@ -194,7 +240,7 @@ def test_vmd_data_loss_crash_matches_oracle():
 def test_clone_boots_match_oracle():
     crowd = make_flashcrowd(replace(crowd_quick_config(seed=0),
                                     provision="clone"))
-    checked = check_every_decision(crowd.view)
+    checked = check_every_decision(crowd)
     crowd.run()
     assert crowd.scheduler.counters["cloned"] > 0
     assert len(checked) > 10
@@ -203,7 +249,7 @@ def test_clone_boots_match_oracle():
 def test_late_tenant_label_recounts_its_host():
     fleet = make_fleet(fleet_quick_config(seed=0))
     world, view = fleet.world, fleet.view
-    check_every_decision(view)
+    check_every_decision(fleet)
     view.refresh()
     vm = world.add_vm("fixture", 4 * MiB, "r1h1")
     world.hosts["r1h1"].place_vm(vm, 4 * MiB,

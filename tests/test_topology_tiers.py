@@ -14,7 +14,12 @@ import pytest
 
 from repro.cluster.world import World
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
-from repro.fleet import DomainSpreadWeigher, RackSpreadWeigher
+from repro.fleet import (
+    DomainSpreadWeigher,
+    HostState,
+    HostTable,
+    RackSpreadWeigher,
+)
 from repro.sched import HostHealth, HostHealthTracker, Topology
 from repro.util import MiB
 from repro.vm.vm import VmState
@@ -255,39 +260,42 @@ def test_pod_fault_validation():
 
 # -- spread scoring -------------------------------------------------------------
 
-class _SpreadState:
-    def __init__(self, name, rack_load, pod=None, az=None,
-                 pod_load=0, az_load=0):
-        self.name = name
-        self.rack_load = rack_load
-        self.pod = pod
-        self.az = az
-        self.pod_load = pod_load
-        self.az_load = az_load
+def _spread_state(name, rack_load, pod=None, az=None, pod_load=0,
+                  az_load=0):
+    return HostState(name=name, rack="r", usable_bytes=64.0,
+                     resident_bytes=0.0, reserved_bytes=0.0, health="UP",
+                     inflight=0, draining=False, retired=False,
+                     rack_load=rack_load, pod=pod, az=az,
+                     pod_load=pod_load, az_load=az_load)
+
+
+def _weights(weigher, *states):
+    """``weigher``'s score per state, in argument order."""
+    table = HostTable.from_states(states)
+    scores = dict(zip(table, weigher.weigh(table, None).tolist()))
+    return [scores[s.name] for s in states]
 
 
 def test_domain_spread_prefers_the_emptiest_deep_domain():
-    spec = object()
     w = DomainSpreadWeigher()
     # same AZ load: pod load decides; same pod load: rack load decides
-    crowded = _SpreadState("a", rack_load=1, pod="p0", az="z0",
-                           pod_load=8, az_load=10)
-    empty_pod = _SpreadState("b", rack_load=4, pod="p1", az="z0",
-                             pod_load=2, az_load=10)
-    assert w.weigh(empty_pod, spec) > w.weigh(crowded, spec)
+    crowded = _spread_state("a", rack_load=1, pod="p0", az="z0",
+                            pod_load=8, az_load=10)
+    empty_pod = _spread_state("b", rack_load=4, pod="p1", az="z0",
+                              pod_load=2, az_load=10)
     # an emptier AZ beats any pod/rack arrangement inside a fuller one
-    empty_az = _SpreadState("c", rack_load=9, pod="p2", az="z1",
-                            pod_load=9, az_load=9)
-    assert w.weigh(empty_az, spec) > w.weigh(empty_pod, spec)
+    empty_az = _spread_state("c", rack_load=9, pod="p2", az="z1",
+                             pod_load=9, az_load=9)
+    s_crowded, s_empty_pod, s_empty_az = _weights(w, crowded, empty_pod,
+                                                  empty_az)
+    assert s_empty_pod > s_crowded
+    assert s_empty_az > s_empty_pod
 
 
 def test_domain_spread_degrades_to_rack_spread_on_flat():
-    spec = object()
-    dw = DomainSpreadWeigher()
-    rw = RackSpreadWeigher()
-    for load in (0, 3, 17):
-        flat = _SpreadState("h", rack_load=load)
-        assert dw.weigh(flat, spec) == rw.weigh(flat, spec)
+    flat = [_spread_state(f"h{load}", rack_load=load) for load in (0, 3, 17)]
+    assert _weights(DomainSpreadWeigher(), *flat) \
+        == _weights(RackSpreadWeigher(), *flat)
 
 
 def test_domain_spread_validation():
