@@ -145,8 +145,9 @@ class World:
 
     # -- usage feed ----------------------------------------------------------
     def start_usage_feed(self, interval_s: float = 1.0) -> None:
-        """Periodically sample every host's resident bytes into the
-        recorder (``host.<name>.used_bytes``) and notify subscribers.
+        """Periodically sample every host's resident bytes, publish the
+        ``mem.host.<name>.used_bytes`` gauges (when metrics are on) and
+        notify subscribers.
 
         The planner's pressure forecast feeds from this. Idempotent: a
         second call (another control plane, a test) keeps the first
@@ -167,7 +168,6 @@ class World:
         publish = self.metrics.enabled
         for name in sorted(self.hosts):
             used = self.hosts[name].memory.total_resident_bytes()
-            self.recorder.record(f"host.{name}.used_bytes", now, used)
             if publish:
                 self.metrics.gauge(f"mem.host.{name}.used_bytes").set(used)
             for fn in self._usage_subs:

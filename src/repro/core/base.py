@@ -531,8 +531,6 @@ class MigrationManager:
         self.report.switch_time = self.sim.now
         if self._suspend_started is not None:
             self.report.downtime = self.sim.now - self._suspend_started
-        self.recorder.record(f"migration.{self.vm.name}.switch",
-                             self.sim.now, 1.0)
         if self.tracer.enabled:
             self.tracer.instant(
                 self._track, "switch", cat="migration",
@@ -625,8 +623,6 @@ class MigrationManager:
         self.report.outcome = MigrationOutcome.ABORTED
         self.report.failure_reason = reason
         self.report.end_time = self.sim.now
-        self.recorder.record(f"migration.{self.vm.name}.abort",
-                             self.sim.now, 1.0)
         self._record_outcome()
         self._trace_close(MigrationOutcome.ABORTED.value, reason)
         self.done.succeed(self.report)
@@ -646,8 +642,6 @@ class MigrationManager:
         self.report.outcome = MigrationOutcome.FAILED
         self.report.failure_reason = reason
         self.report.end_time = self.sim.now
-        self.recorder.record(f"migration.{self.vm.name}.failed",
-                             self.sim.now, 1.0)
         self._record_outcome()
         self._trace_close(MigrationOutcome.FAILED.value, reason)
         self.done.succeed(self.report)

@@ -128,9 +128,6 @@ class WssTracker:
             self.manager_of().shrink_to_reservation(self.vm_name)
         self.recorder.record(f"{self.vm_name}.reservation", now, new)
         self.recorder.record(f"{self.vm_name}.swap_rate", now, rate)
-        if self.tracer.enabled:
-            self.tracer.counter(f"vm:{self.vm_name}", "reservation",
-                                values={"bytes": float(new)})
         self._update_mode(now, new, rate)
 
     def _update_mode(self, now: float, reservation: float,

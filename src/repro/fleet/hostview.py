@@ -276,10 +276,6 @@ class FleetHostView:
         else:
             self.planner.exclude_hosts.discard(host)
 
-    def is_available(self, host: str) -> bool:
-        return host not in self.exclude and host not in self.draining \
-            and host not in self.retired
-
     # -- columns --------------------------------------------------------------
     def refresh(self) -> HostTable:
         """The current, deterministic (name-sorted) cluster state."""

@@ -3,6 +3,11 @@
 Everything the paper's evaluation plots or tabulates is computed from
 these primitives: per-tick throughput series (Figures 4-6, 10), migration
 reports (Tables II-III, Figures 7-8), and WSS traces (Figure 9).
+
+:class:`TimeSeries` is the one container for a ``(t, v)`` history: the
+:class:`Recorder`'s series and the live telemetry gauges and rates alike.
+Series are read in process; :mod:`repro.metrics.export` writes reports
+and fault logs.
 """
 
 from repro.metrics.series import TimeSeries
@@ -11,10 +16,7 @@ from repro.metrics.analysis import recovery_time, window_mean
 from repro.metrics.export import (
     fault_log_to_csv,
     fault_log_to_dict,
-    recorder_to_csv,
-    recorder_to_json,
     report_to_dict,
-    series_to_csv,
 )
 
 __all__ = [
@@ -22,10 +24,7 @@ __all__ = [
     "TimeSeries",
     "fault_log_to_csv",
     "fault_log_to_dict",
-    "recorder_to_csv",
-    "recorder_to_json",
     "recovery_time",
     "report_to_dict",
-    "series_to_csv",
     "window_mean",
 ]

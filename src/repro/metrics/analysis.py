@@ -50,7 +50,7 @@ def recovery_time(series: TimeSeries, start: float, target: float,
         j = i
         while j < t.size and ok[j]:
             j += 1
-        streak_end = t[j - 1] if j - 1 < t.size else t[-1]
+        streak_end = t[j - 1]
         if streak_end - t[i] >= sustain or j == t.size:
             return float(t[i] - start)
         i = j

@@ -1,9 +1,13 @@
-"""Result export: time series and migration reports to CSV / JSON.
+"""Result export: migration reports and fault logs, plus the one
+deterministic JSON encoder every exporter shares.
 
 Experiment results should outlive the Python process — these helpers
-serialize a :class:`~repro.metrics.Recorder`'s series and
-:class:`~repro.core.base.MigrationReport` objects into plain files that
-plotting tools and spreadsheets can ingest.
+turn :class:`~repro.core.base.MigrationReport` objects and fault logs
+into JSON-ready dicts and CSV files. :func:`dumps` is the canonical
+encoding (sorted keys, compact separators, NumPy scalars unwrapped)
+behind the trace (:mod:`repro.obs.export`) and metrics
+(:mod:`repro.telemetry.export`) files, so same-seed runs write
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -13,15 +17,25 @@ import dataclasses
 import enum
 import json
 from pathlib import Path
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Optional, Union
 
-from repro.metrics.recorder import Recorder
-from repro.metrics.series import TimeSeries
-
-__all__ = ["fault_log_to_csv", "fault_log_to_dict", "report_to_dict",
-           "series_to_csv", "recorder_to_csv", "recorder_to_json"]
+__all__ = ["PathLike", "dumps", "fault_log_to_csv", "fault_log_to_dict",
+           "report_to_dict"]
 
 PathLike = Union[str, Path]
+
+
+def _jsonify(obj):
+    """json.dumps fallback: NumPy scalars and other .item() carriers."""
+    if hasattr(obj, "item"):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def dumps(doc) -> str:
+    """``doc`` as canonical JSON: sorted keys, compact separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      default=_jsonify)
 
 
 def report_to_dict(report: Any) -> dict:
@@ -64,51 +78,4 @@ def fault_log_to_csv(log: Any, path: PathLike) -> Path:
         writer.writerow(["t", "action", "kind", "target", "detail"])
         for t, action, kind, target, detail in log.to_rows():
             writer.writerow([repr(float(t)), action, kind, target, detail])
-    return path
-
-
-def series_to_csv(series: TimeSeries, path: PathLike) -> Path:
-    """One series as a two-column ``t,value`` CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", series.name or "value"])
-        for t, v in zip(series.t, series.v):
-            writer.writerow([repr(float(t)), repr(float(v))])
-    return path
-
-
-def recorder_to_csv(recorder: Recorder, path: PathLike,
-                    names: Optional[Iterable[str]] = None) -> Path:
-    """All (or selected) series in long form: ``series,t,value``."""
-    path = Path(path)
-    selected = list(names) if names is not None else recorder.names()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "t", "value"])
-        for name in selected:
-            s = recorder.series(name)
-            for t, v in zip(s.t, s.v):
-                writer.writerow([name, repr(float(t)), repr(float(v))])
-    return path
-
-
-def recorder_to_json(recorder: Recorder, path: PathLike,
-                     names: Optional[Iterable[str]] = None,
-                     reports: Optional[dict] = None,
-                     fault_log: Optional[Any] = None) -> Path:
-    """A JSON document with series arrays, optional migration reports,
-    and an optional fault/recovery log
-    (``{"series": {...}, "reports": ..., "faults": ...}``)."""
-    path = Path(path)
-    selected = list(names) if names is not None else recorder.names()
-    doc: dict = {"series": {}}
-    for name in selected:
-        s = recorder.series(name)
-        doc["series"][name] = {"t": s.t.tolist(), "v": s.v.tolist()}
-    if reports:
-        doc["reports"] = {k: report_to_dict(r) for k, r in reports.items()}
-    if fault_log is not None:
-        doc["faults"] = fault_log_to_dict(fault_log)
-    path.write_text(json.dumps(doc))
     return path

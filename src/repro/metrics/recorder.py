@@ -29,17 +29,3 @@ class Recorder:
 
     def has(self, name: str) -> bool:
         return name in self._series
-
-    def names(self) -> list[str]:
-        return sorted(self._series)
-
-    def matching(self, prefix: str) -> list[TimeSeries]:
-        """Series named ``prefix`` or nested under it.
-
-        Matching is on dotted-segment boundaries: ``"vm1"`` matches
-        ``"vm1"`` and ``"vm1.throughput"`` but *not*
-        ``"vm10.throughput"``.
-        """
-        dotted = prefix + "."
-        return [s for n, s in sorted(self._series.items())
-                if n == prefix or n.startswith(dotted)]

@@ -5,7 +5,9 @@ The tracing layer answers the *why* questions the aggregate
 stalled, which planner decision bounced a VM, which fault window an
 abort fell into — as time-aligned spans and events across every
 subsystem. Traces are bound to the simulation clock, so a trace is as
-deterministic as the run itself. See DESIGN.md §8.
+deterministic as the run itself. A trace carries events only: sampled
+values live in :class:`~repro.metrics.TimeSeries` (recorder series and
+telemetry gauges), never in counter tracks. See DESIGN.md §8.
 """
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, TraceEvent, Tracer

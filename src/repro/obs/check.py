@@ -17,21 +17,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Union
 
 __all__ = ["KNOWN_CATEGORIES", "validate_chrome_trace",
            "missing_categories", "main"]
 
-PathLike = Union[str, Path]
-
-_PHASES = {"B", "E", "i", "b", "e", "C", "M"}
+_PHASES = {"B", "E", "i", "b", "e", "M"}
 _REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
 
 #: the category registry: every span/instant category the instrumented
 #: stack may emit. An event with a category outside this set fails
 #: validation — new subsystems register here, keeping the schema tight
 #: instead of loosening the check. ``-`` is the exporter's placeholder
-#: for events without a category (span ends, counters, metadata).
+#: for events without a category (span ends, metadata).
 KNOWN_CATEGORIES = frozenset({
     "migration",  # engine lifecycle spans (outcome-carrying)
     "phase",      # per-phase migration spans (rounds, stop-and-copy...)

@@ -14,31 +14,16 @@ simulation time.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Union
 
+from repro.metrics.export import PathLike, dumps
 from repro.obs.tracer import Span, Tracer
 
 __all__ = ["chrome_trace_doc", "spans_of", "trace_to_chrome",
            "trace_to_jsonl"]
 
-PathLike = Union[str, Path]
-
 #: synthetic process id for all tracks
 PID = 1
-
-
-def _jsonify(obj):
-    """json.dumps fallback: NumPy scalars and other .item() carriers."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      default=_jsonify)
 
 
 def chrome_trace_doc(tracer: Tracer) -> dict:
@@ -72,7 +57,7 @@ def chrome_trace_doc(tracer: Tracer) -> dict:
 def trace_to_chrome(tracer: Tracer, path: PathLike) -> Path:
     """Write the Chrome trace-event JSON (``chrome://tracing``-loadable)."""
     path = Path(path)
-    path.write_text(_dumps(chrome_trace_doc(tracer)) + "\n",
+    path.write_text(dumps(chrome_trace_doc(tracer)) + "\n",
                     encoding="utf-8")
     return path
 
@@ -89,7 +74,7 @@ def trace_to_jsonl(tracer: Tracer, path: PathLike) -> Path:
                 rec["args"] = ev.args
             if ev.id is not None:
                 rec["id"] = ev.id
-            fh.write(_dumps(rec) + "\n")
+            fh.write(dumps(rec) + "\n")
     return path
 
 

@@ -20,8 +20,11 @@ emits):
   strictly (LIFO), like a call stack;
 * ``instant`` — a point event (a switchover, a planner verdict);
 * ``async_begin``/``async_end`` — a span that may overlap others on
-  its track (concurrent transfer jobs, fault windows). Paired by id;
-* ``counter`` — a sampled value series rendered as a counter track.
+  its track (concurrent transfer jobs, fault windows). Paired by id.
+
+Sampled values are not trace events: a ``(t, v)`` history lives in a
+:class:`~repro.metrics.TimeSeries` — a recorder series or a
+:class:`~repro.telemetry.Gauge` — and is recorded once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = ["NULL_TRACER", "NullTracer", "Span", "TraceEvent", "Tracer"]
 @dataclass
 class TraceEvent:
     """One trace record. ``ph`` follows the Chrome trace-event phases:
-    B/E (span begin/end), i (instant), b/e (async span), C (counter)."""
+    B/E (span begin/end), i (instant), b/e (async span)."""
 
     __slots__ = ("ph", "t", "track", "name", "cat", "args", "id")
 
@@ -86,10 +89,6 @@ class NullTracer:
 
     def instant(self, track: str, name: str, cat: str = "",
                 args: Optional[dict] = None) -> None:
-        pass
-
-    def counter(self, track: str, name: str,
-                values: Optional[dict] = None) -> None:
         pass
 
     def async_begin(self, track: str, name: str, cat: str = "",
@@ -163,16 +162,11 @@ class Tracer(NullTracer):
     def open_depth(self, track: str) -> int:
         return len(self._stacks.get(track, ()))
 
-    # -- instants and counters ------------------------------------------------
+    # -- instants -------------------------------------------------------------
     def instant(self, track: str, name: str, cat: str = "",
                 args: Optional[dict] = None) -> None:
         self.events.append(
             TraceEvent("i", self.clock(), track, name, cat, args, None))
-
-    def counter(self, track: str, name: str,
-                values: Optional[dict] = None) -> None:
-        self.events.append(
-            TraceEvent("C", self.clock(), track, name, "", values, None))
 
     # -- async (overlapping) spans --------------------------------------------
     def async_begin(self, track: str, name: str, cat: str = "",

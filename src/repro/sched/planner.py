@@ -643,11 +643,6 @@ class MigrationPlanner:
             dispatched += 1
             if self.dispatch is not None:
                 self.dispatch(plan)
-        if tr.enabled:
-            tr.counter("planner", "pressure", values={
-                "active": len(self.active),
-                "queued": len(self.queue),
-                "reserved_bytes": sum(self._reserved.values())})
         if self.metrics.enabled:
             m = self.metrics
             if dispatched:

@@ -160,10 +160,6 @@ class Process(Event):
         # Start the process on the next loop turn at the current time.
         sim.call_in(0.0, self._resume, None, None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:

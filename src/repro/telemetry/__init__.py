@@ -4,7 +4,9 @@ Where :mod:`repro.obs` records *events* for post-hoc analysis and
 :mod:`repro.metrics` keeps raw evaluation series, this package keeps
 *live aggregates* the control plane itself can consume mid-run: typed
 instruments in a :class:`MetricsRegistry` (sim-clock timestamps, so
-same seed ⇒ byte-identical exports), per-tenant :class:`SloMonitor`
+same seed ⇒ byte-identical exports; :class:`Gauge` and
+:class:`WindowedRate` keep their samples in a
+:class:`~repro.metrics.TimeSeries`), per-tenant :class:`SloMonitor`
 probes with per-migration violation attribution, and a cluster
 :class:`PressureIndex`. See DESIGN.md §12.
 """

@@ -45,9 +45,10 @@ def render_dashboard(registry: MetricsRegistry, width: int = 48,
         label_w = min(max(len(g.name) for g in gauges), 34)
         for g in gauges:
             # [0, 1]-bounded signals render against their domain
-            hi = 1.0 if g.v and max(g.v) <= 1.0 and min(g.v) >= 0.0 \
+            v = g.series.v
+            hi = 1.0 if v.size and v.max() <= 1.0 and v.min() >= 0.0 \
                 else None
-            chart = sparkline(g.v, width=width, lo=0.0, hi=hi)
+            chart = sparkline(v, width=width, lo=0.0, hi=hi)
             lines.append(f"  {g.name:<{label_w}.{label_w}s} "
                          f"|{chart:<{width}s}| {_fmt(g.value)}")
     if counters:

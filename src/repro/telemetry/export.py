@@ -13,31 +13,16 @@ quantile lines) for anything that speaks the ecosystem's format.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
-from typing import Union
 
+from repro.metrics.export import PathLike, dumps
 from repro.telemetry.instruments import MetricsRegistry
 
 __all__ = ["metrics_snapshot", "metrics_to_jsonl", "prometheus_text",
            "metrics_to_prometheus"]
 
-PathLike = Union[str, Path]
-
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _jsonify(obj):
-    """json.dumps fallback: NumPy scalars and other .item() carriers."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      default=_jsonify)
 
 
 def _round(v: float) -> float:
@@ -55,9 +40,13 @@ def _instrument_doc(inst) -> dict:
         doc["value"] = _round(inst.value)
         doc["samples"] = inst.count
         if inst.count:
-            doc["min"] = _round(min(inst.v))
-            doc["max"] = _round(max(inst.v))
-            doc["mean"] = _round(sum(inst.v) / len(inst.v))
+            # builtins over Python floats, not NumPy reductions: 3.12
+            # compensates sum only over exact floats, and np.mean adds
+            # in another order, so either would change the exported bytes
+            values = inst.series.v.tolist()
+            doc["min"] = _round(min(values))
+            doc["max"] = _round(max(values))
+            doc["mean"] = _round(sum(values) / len(values))
     elif inst.kind == "histogram":
         doc["count"] = inst.count
         doc["sum"] = _round(inst.sum)
@@ -87,10 +76,10 @@ def metrics_to_jsonl(registry: MetricsRegistry, path: PathLike) -> Path:
     path = Path(path)
     snap = metrics_snapshot(registry)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(_dumps({"kind": snap["kind"], "t": snap["t"],
-                         "instruments": len(snap["instruments"])}) + "\n")
+        fh.write(dumps({"kind": snap["kind"], "t": snap["t"],
+                        "instruments": len(snap["instruments"])}) + "\n")
         for doc in snap["instruments"]:
-            fh.write(_dumps(doc) + "\n")
+            fh.write(dumps(doc) + "\n")
     return path
 
 

@@ -27,6 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.metrics.series import TimeSeries
+
 __all__ = [
     "NULL_METRICS",
     "Counter",
@@ -135,32 +137,30 @@ class Counter:
 class Gauge:
     """Last-value gauge keeping its full (t, v) history.
 
-    The history is what the dashboard sparklines and the pressure-index
-    consumers read; sim runs are bounded, so an unbounded Python list is
-    the right trade against per-sample eviction logic.
+    The history is a :class:`~repro.metrics.TimeSeries` — what the
+    dashboard sparklines and the pressure-index consumers read; sim runs
+    are bounded, so it is never trimmed.
     """
 
     kind = "gauge"
 
-    __slots__ = ("name", "_registry", "t", "v")
+    __slots__ = ("name", "_registry", "series")
 
     def __init__(self, registry: "MetricsRegistry", name: str):
         self.name = name
         self._registry = registry
-        self.t: list[float] = []
-        self.v: list[float] = []
+        self.series = TimeSeries(name)
 
     def set(self, value: float) -> None:
-        self.t.append(self._registry.clock())
-        self.v.append(float(value))
+        self.series.append(self._registry.clock(), value)
 
     @property
     def value(self) -> float:
-        return self.v[-1] if self.v else 0.0
+        return float(self.series.v[-1]) if len(self.series) else 0.0
 
     @property
     def count(self) -> int:
-        return len(self.v)
+        return len(self.series)
 
 
 class Histogram:
@@ -243,11 +243,16 @@ class Histogram:
 
 
 class WindowedRate:
-    """Events (or bytes) per second over a trailing sim-time window."""
+    """Events (or bytes) per second over a trailing sim-time window.
+
+    Every mark lands in a :class:`~repro.metrics.TimeSeries`; a read
+    finds the window — the marks with ``t > now - window_s`` — with one
+    ``searchsorted`` over the (non-decreasing) mark times.
+    """
 
     kind = "rate"
 
-    __slots__ = ("name", "_registry", "window_s", "total", "_events")
+    __slots__ = ("name", "_registry", "window_s", "total", "series")
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  window_s: float = 10.0):
@@ -257,37 +262,29 @@ class WindowedRate:
         self._registry = registry
         self.window_s = float(window_s)
         self.total = 0.0
-        #: (t, amount) marks still inside the window
-        self._events: list[tuple[float, float]] = []
+        self.series = TimeSeries(name)
 
     def mark(self, amount: float = 1.0) -> None:
-        now = self._registry.clock()
         self.total += amount
-        self._events.append((now, amount))
-        self._evict(now)
+        self.series.append(self._registry.clock(), amount)
 
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window_s
-        events = self._events
-        i = 0
-        for i, (t, _) in enumerate(events):
-            if t > cutoff:
-                break
-        else:
-            i = len(events)
-        if i:
-            del events[:i]
+    def _window(self) -> np.ndarray:
+        """Amounts of the marks inside the window, as of the clock."""
+        cutoff = self._registry.clock() - self.window_s
+        first = np.searchsorted(self.series.t, cutoff, side="right")
+        return self.series.v[first:]
 
     @property
     def rate(self) -> float:
         """Amount per second over the window, as of the current clock."""
-        now = self._registry.clock()
-        self._evict(now)
-        return sum(a for _, a in self._events) / self.window_s
+        # builtin sum over Python floats, as the gauge export: 3.12
+        # compensates only exact floats, and np.sum adds in another order
+        return sum(self._window().tolist()) / self.window_s
 
     @property
     def count(self) -> int:
-        return len(self._events)
+        """Marks inside the window, as of the current clock."""
+        return int(self._window().size)
 
 
 class MetricsRegistry(NullRegistry):

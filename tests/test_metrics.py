@@ -63,30 +63,6 @@ def test_recorder_creates_and_accumulates():
     assert not r.has("vm2.tput")
 
 
-def test_recorder_matching_prefix():
-    r = Recorder()
-    r.record("vm1.tput", 0, 1)
-    r.record("vm2.tput", 0, 1)
-    r.record("host.swap", 0, 1)
-    # dotted-segment semantics: a bare "vm" matches neither vm1 nor vm2
-    assert [s.name for s in r.matching("vm")] == []
-    assert [s.name for s in r.matching("vm1")] == ["vm1.tput"]
-    assert r.names() == ["host.swap", "vm1.tput", "vm2.tput"]
-
-
-def test_recorder_matching_segment_boundary():
-    """"vm1" must not match "vm10.*" (prefix collision regression)."""
-    r = Recorder()
-    r.record("vm1", 0, 1)
-    r.record("vm1.tput", 0, 1)
-    r.record("vm1.wss", 0, 1)
-    r.record("vm10.tput", 0, 1)
-    r.record("vm10", 0, 1)
-    assert [s.name for s in r.matching("vm1")] == \
-        ["vm1", "vm1.tput", "vm1.wss"]
-    assert [s.name for s in r.matching("vm10")] == ["vm10", "vm10.tput"]
-
-
 def _resample_reference(series, dt):
     """The pre-vectorization loop implementation, kept as the oracle."""
     out = TimeSeries(series.name)

@@ -1,27 +1,11 @@
-"""Tests for metrics export (CSV/JSON serialization)."""
+"""Tests for metrics export (report dicts, fault-log CSV)."""
 
 import csv
 import json
 
-import pytest
-
 from repro.core.base import MigrationReport
-from repro.metrics import (
-    Recorder,
-    TimeSeries,
-    recorder_to_csv,
-    recorder_to_json,
-    report_to_dict,
-    series_to_csv,
-)
-
-
-def sample_recorder():
-    r = Recorder()
-    for t in range(5):
-        r.record("vm0.throughput", float(t), float(t * 10))
-        r.record("vm0.reservation", float(t), 100.0 - t)
-    return r
+from repro.faults import FaultLog
+from repro.metrics import fault_log_to_csv, report_to_dict
 
 
 def test_report_to_dict_includes_derived_fields():
@@ -36,67 +20,11 @@ def test_report_to_dict_includes_derived_fields():
     json.dumps(d)  # must be JSON-serializable
 
 
-def test_series_to_csv_roundtrip(tmp_path):
-    s = TimeSeries("tput")
-    s.append(0.5, 1.25)
-    s.append(1.0, 2.5)
-    path = series_to_csv(s, tmp_path / "s.csv")
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["t", "tput"]
-    assert float(rows[1][1]) == 1.25
-    assert float(rows[2][0]) == 1.0
-
-
-def test_recorder_to_csv_long_form(tmp_path):
-    path = recorder_to_csv(sample_recorder(), tmp_path / "all.csv")
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["series", "t", "value"]
-    names = {r[0] for r in rows[1:]}
-    assert names == {"vm0.throughput", "vm0.reservation"}
-    assert len(rows) == 1 + 10
-
-
-def test_recorder_to_csv_selected_names(tmp_path):
-    path = recorder_to_csv(sample_recorder(), tmp_path / "sel.csv",
-                           names=["vm0.throughput"])
-    rows = list(csv.reader(path.open()))
-    assert len(rows) == 1 + 5
-
-
-def test_series_to_csv_empty_series(tmp_path):
-    path = series_to_csv(TimeSeries("empty"), tmp_path / "e.csv")
-    rows = list(csv.reader(path.open()))
-    assert rows == [["t", "empty"]]
-
-
-def test_recorder_to_csv_empty_recorder(tmp_path):
-    path = recorder_to_csv(Recorder(), tmp_path / "e.csv")
-    rows = list(csv.reader(path.open()))
-    assert rows == [["series", "t", "value"]]
-
-
-def test_recorder_to_json_empty_recorder(tmp_path):
-    path = recorder_to_json(Recorder(), tmp_path / "e.json")
-    doc = json.loads(path.read_text())
-    assert doc["series"] == {}
-    assert "reports" not in doc
-
-
 def test_csv_roundtrip_preserves_float_precision(tmp_path):
-    s = TimeSeries("x")
-    s.append(1 / 3, 0.1 + 0.2)  # values repr() must round-trip exactly
-    path = series_to_csv(s, tmp_path / "p.csv")
-    _, row = list(csv.reader(path.open()))
-    assert float(row[0]) == s.t[0]
-    assert float(row[1]) == s.v[0]
-
-
-def test_recorder_to_json_with_reports(tmp_path):
-    rep = MigrationReport("pre-copy", "vm0")
-    rep.end_time = 5.0
-    path = recorder_to_json(sample_recorder(), tmp_path / "doc.json",
-                            reports={"vm0": rep})
-    doc = json.loads(path.read_text())
-    assert doc["series"]["vm0.throughput"]["v"] == [0.0, 10.0, 20.0, 30.0,
-                                                    40.0]
-    assert doc["reports"]["vm0"]["technique"] == "pre-copy"
+    log = FaultLog()
+    log.record(1 / 3, "inject", "host-crash", "h0")  # repr() round-trips
+    path = fault_log_to_csv(log, tmp_path / "p.csv")
+    header, row = list(csv.reader(path.open()))
+    assert header == ["t", "action", "kind", "target", "detail"]
+    assert float(row[0]) == 1 / 3
+    assert row[1:] == ["inject", "host-crash", "h0", ""]

@@ -139,7 +139,7 @@ def sample_tracer():
     aid = tr.async_begin("net:c", "xfer", cat="net")
     clk.now = 2.0
     tr.async_end(aid)
-    tr.counter("host:h0", "load", values={"vms": 3})
+    tr.instant("host:h0", "load", cat="fleet", args={"vms": 3})
     clk.now = 4.0
     tr.end("vm:vm0")
     return tr
@@ -198,10 +198,12 @@ def test_spans_of_drops_unmatched_begins():
 def test_validate_rejects_malformed_docs():
     assert validate_chrome_trace([]) != []
     assert validate_chrome_trace({}) == ["missing traceEvents array"]
-    bad_phase = {"traceEvents": [
-        {"ph": "Z", "ts": 0, "pid": 1, "tid": 1, "name": "x"}]}
-    assert any("unknown phase" in e
-               for e in validate_chrome_trace(bad_phase))
+    # "C" (counter): sampled values live in series, not in the trace
+    for ph in ("Z", "C"):
+        bad_phase = {"traceEvents": [
+            {"ph": ph, "ts": 0, "pid": 1, "tid": 1, "name": "x"}]}
+        assert any("unknown phase" in e
+                   for e in validate_chrome_trace(bad_phase))
 
 
 def test_validate_catches_unbalanced_spans():
@@ -245,18 +247,6 @@ def test_check_cli(tmp_path, capsys):
 
 # -- exporter round-trips -------------------------------------------------------
 
-def test_chrome_counter_events():
-    doc = chrome_trace_doc(sample_tracer())
-    counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-    assert len(counters) == 1
-    (ev,) = counters
-    assert ev["name"] == "load"
-    assert ev["cat"] == "-"  # counters carry no category
-    assert ev["args"] == {"vms": 3}
-    assert ev["ts"] == pytest.approx(2.0 * 1e6)  # sim seconds -> µs
-    assert validate_chrome_trace(doc) == []
-
-
 def test_jsonl_instant_round_trip(tmp_path):
     tr = sample_tracer()
     path = trace_to_jsonl(tr, tmp_path / "t.jsonl")
@@ -266,7 +256,10 @@ def test_jsonl_instant_round_trip(tmp_path):
     instants = [r for r in records if r["ph"] == "i"]
     assert instants == [{"t": 0.0, "ph": "i", "track": "planner",
                          "name": "plan", "cat": "planner",
-                         "args": {"vm": "vm0"}}]
+                         "args": {"vm": "vm0"}},
+                        {"t": 2.0, "ph": "i", "track": "host:h0",
+                         "name": "load", "cat": "fleet",
+                         "args": {"vms": 3}}]
     # every original event survives with its timing and identity intact
     for rec, ev in zip(records, tr.events):
         assert rec["t"] == ev.t and rec["ph"] == ev.ph

@@ -653,12 +653,13 @@ def test_usage_feed_drives_the_pressure_forecast():
                                     forecast_horizon_s=5.0),
         exclude_hosts=("vmdx",))
     world.subscribe_usage(planner.observe_usage)
+    samples = []
+    world.subscribe_usage(lambda host, t, used: samples.append((host, t)))
     world.start_usage_feed(interval_s=1.0)
     world.start_usage_feed(interval_s=0.5)  # idempotent: keeps 1.0 Hz
     world.run(until=2.5)  # samples at t=1, t=2
-    # recorder carries the per-host series the forecast feeds from
-    series = world.recorder.series("host.b0.used_bytes")
-    assert len(series.t) == 2
+    # subscribers see the per-host samples the forecast feeds from
+    assert [t for host, t in samples if host == "b0"] == [1.0, 2.0]
     mem = world.hosts["b0"].memory
     # flat usage: the forecast never dips below the instantaneous sample
     assert planner._usage_estimate("b0", mem) == \

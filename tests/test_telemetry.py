@@ -1,10 +1,13 @@
 """Unit tests for repro.telemetry: instruments, registry semantics,
 exporters (byte-identity), the dashboard, and the pressure index."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.world import World
 from repro.telemetry import (
@@ -76,8 +79,8 @@ def test_gauge_history_follows_clock():
         clock.now = t
         g.set(v)
     assert g.value == 0.1
-    assert g.t == [1.0, 2.0, 3.0]
-    assert g.v == [0.25, 0.5, 0.1]
+    assert g.series.t.tolist() == [1.0, 2.0, 3.0]
+    assert g.series.v.tolist() == [0.25, 0.5, 0.1]
 
 
 def test_histogram_exact_quantiles_and_buckets():
@@ -125,6 +128,46 @@ def test_windowed_rate_trailing_eviction():
     clock.now = 12.0  # the t=1 mark ages out
     assert r.rate == pytest.approx(30.0)
     assert r.total == 400.0  # lifetime total never evicts
+
+
+def rate_oracle(marks, now, window_s):
+    """Brute force over every mark ever made: the window is the marks
+    with ``t > now - window_s``; ``total`` never forgets."""
+    inside = [float(a) for t, a in marks if t > now - window_s]
+    total = 0.0
+    for _, a in marks:
+        total += a
+    return sum(inside) / window_s, len(inside), total
+
+
+#: clock advances: repeats of one instant, steps that land exactly on a
+#: window edge, and gaps long enough to empty the window
+GAPS = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.5, 10.0, 37.5]),
+                 st.floats(0.0, 50.0))
+#: a mark's amount, or None for a read between marks
+STEPS = st.lists(st.tuples(GAPS, st.one_of(
+    st.none(), st.integers(0, 2 ** 20),
+    st.floats(0.0, 1e9, allow_nan=False))), max_size=40)
+
+
+@given(window_s=st.sampled_from([0.25, 2.5, 10.0]), steps=STEPS)
+@example(window_s=10.0,  # order-sensitive: NumPy's unrolled sum differs
+         steps=[(1.0, 1e16)] + [(0.0, 1.0)] * 16)
+@settings(max_examples=150, deadline=None)
+def test_windowed_rate_matches_brute_force(window_s, steps):
+    clock = FakeClock()
+    r = MetricsRegistry(clock=clock).rate("x", window_s=window_s)
+    marks = []
+    for gap, amount in steps:
+        clock.now += gap
+        if amount is not None:
+            r.mark(amount)
+            marks.append((clock.now, amount))
+        assert (r.rate, r.count, r.total) == \
+            rate_oracle(marks, clock.now, window_s)
+    clock.now += 1000.0  # a long quiet spell empties the window
+    assert (r.rate, r.count, r.total) == \
+        rate_oracle(marks, clock.now, window_s)
 
 
 # -- registry semantics ---------------------------------------------------------
@@ -178,6 +221,20 @@ def test_jsonl_export_byte_identical(tmp_path):
     lines = b1.decode().splitlines()
     assert len(lines) == 1 + 4  # header + one line per instrument
     assert '"instruments":4' in lines[0]
+
+
+def test_gauge_export_sums_python_floats(tmp_path):
+    # NumPy's mean (and, on 3.12, sum over an ndarray) differ from the
+    # builtin sum over Python floats here; the export is pinned to the
+    # latter
+    reg = MetricsRegistry()
+    for v in (1e16, 1.0, -1e16):
+        reg.set("g", v)
+    values = reg.get("g").series.v.tolist()
+    path = metrics_to_jsonl(reg, tmp_path / "g.jsonl")
+    doc = json.loads(path.read_text().splitlines()[1])
+    assert doc["mean"] == round(sum(values) / len(values), 9)
+    assert doc["min"] == min(values) and doc["max"] == max(values)
 
 
 def test_prometheus_text_format(tmp_path):
