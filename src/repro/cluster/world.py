@@ -7,7 +7,14 @@ Tick ordering conventions (see :class:`repro.sim.TickEngine`):
 * participants, order 5 — host memory managers (writeback demand/drain);
 * participants & arbiters, order 10 — VMD namespaces (translate queue
   demands to flows, then flow grants back to queues);
-* arbiters, order 0 — the network and local SSD devices.
+* arbiters, order 0 — the network, host CPUs and local SSD devices.
+
+The network, workloads and migration managers run every tick. Memory
+managers, CPU arbiters, SSDs and namespaces park while idle and are
+woken by whatever gives them work (demand on one of their lanes, an
+eviction that queues writeback, a repair backlog), so a mostly idle
+fleet costs only its busy hosts per tick. The engine's ``tick_index``
+counts every tick and is the memory managers' LRU clock.
 """
 
 from __future__ import annotations

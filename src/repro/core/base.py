@@ -525,9 +525,8 @@ class MigrationManager:
         backlog = image_binding.writeback_backlog
         self.dst.memory.unregister_vm(self.image.name)
         self.vm.resume(host=self.dst.name, pages=self.dst_pages)
-        new_binding = self.dst.place_vm_with_cgroup(
-            self.vm, self._dst_cgroup, self.dst_backend)
-        new_binding.writeback_backlog = backlog
+        self.dst.place_vm_with_cgroup(self.vm, self._dst_cgroup,
+                                      self.dst_backend, backlog)
         self.report.switch_time = self.sim.now
         if self._suspend_started is not None:
             self.report.downtime = self.sim.now - self._suspend_started

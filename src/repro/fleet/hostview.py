@@ -259,6 +259,9 @@ class FleetHostView:
         self.retired: set[str] = set()
         #: what the columns were built against (hosts seen, tenant map)
         self._built_for: tuple = (-1, None)
+        #: managers whose resident total moved since the last refresh
+        #: (each flags itself): the resident rows to reread
+        self._moved: set = set()
 
     # -- drain lifecycle ------------------------------------------------------
     def start_drain(self, host: str) -> None:
@@ -289,8 +292,12 @@ class FleetHostView:
             for col, (loads, ids) in zip(self._domain_load_cols,
                                          self._domain_loads):
                 col[:] = loads[ids]
-        self._resident[:] = [m.total_resident_bytes()
-                             for m in self._managers]
+        moved = self._moved
+        if moved:
+            row = self._row_of
+            for m in moved:
+                self._resident[row[m]] = m.total_resident_bytes()
+            moved.clear()
         planner = self.planner
         reserved_on = planner.reserved_on
         claimed = planner.migration_claims().keys() \
@@ -338,10 +345,14 @@ class FleetHostView:
         self._names = _objects(names)
         self._index = {h: i for i, h in enumerate(names)}
         self._hosts = [world.hosts[h] for h in names]
-        self._managers = [host.memory for host in self._hosts]
+        managers = [host.memory for host in self._hosts]
         self._versions = [-1] * n
-        self._usable = np.array([m.usable_bytes() for m in self._managers],
+        self._usable = np.array([m.usable_bytes() for m in managers],
                                 dtype=float)
+        self._row_of = {m: i for i, m in enumerate(managers)}
+        self._moved.update(managers)
+        for m in managers:
+            m.watch_resident(self._moved)
         self._resident = np.zeros(n)
         #: columns that hold a non-default value on few hosts, and the
         #: rows each was written on by the last refresh

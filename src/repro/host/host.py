@@ -102,11 +102,14 @@ class Host:
                                          backend or binding_from.backend)
 
     def place_vm_with_cgroup(self, vm: VirtualMachine, cgroup: Cgroup,
-                             swap_backend: SwapBackend) -> VmMemoryBinding:
+                             swap_backend: SwapBackend,
+                             writeback_backlog: float = 0.0
+                             ) -> VmMemoryBinding:
         if vm.name in self.vms:
             raise ValueError(f"VM already placed on {self.name}: {vm.name}")
         vm.host = self.name
-        binding = self.memory.register_vm(vm, cgroup, swap_backend)
+        binding = self.memory.register_vm(vm, cgroup, swap_backend,
+                                          writeback_backlog)
         self.vms[vm.name] = vm
         self.version += 1
         return binding

@@ -16,36 +16,21 @@ was pure overhead at scale.
 
 from __future__ import annotations
 
+from repro.sim.periodic import Lane, Parkable
 from repro.util import fair_share
 
 __all__ = ["CpuArbiter", "CpuShare"]
 
 
-class CpuShare:
+class CpuShare(Lane):
     """One VM's lane on the host CPU (demand/grant in cpu-seconds)."""
 
-    __slots__ = ("name", "demand", "granted", "total_granted", "active",
-                 "_owner")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.demand = 0.0
-        self.granted = 0.0
-        self.total_granted = 0.0
-        self.active = True
-        self._owner = None
-
-    def close(self) -> None:
-        self.active = False
-        self.demand = 0.0
-        self.granted = 0.0
-        owner = self._owner
-        if owner is not None:
-            owner._needs_compact = True
+    __slots__ = ()
 
 
-class CpuArbiter:
-    """Divides a host's core-seconds per tick among registered shares."""
+class CpuArbiter(Parkable):
+    """Divides a host's core-seconds per tick among registered shares;
+    parks after an arbitration that saw no demand."""
 
     def __init__(self, host: str, cores: int):
         if cores <= 0:
@@ -67,18 +52,24 @@ class CpuArbiter:
             shares = self._shares = [s for s in shares if s.active]
             self._needs_compact = False
         if not shares:
+            self.park()
             return
         capacity = self.cores * dt
         if len(shares) == 1:
             s = shares[0]
-            d = s.demand
+            d = s._demand
             g = d if d <= capacity else capacity
             s.granted = g
             s.total_granted += g
-            s.demand = 0.0
+            s._demand = 0.0
+            if not d > 0:
+                self.park()
             return
-        grants = fair_share([s.demand for s in shares], capacity)
+        demands = [s._demand for s in shares]
+        grants = fair_share(demands, capacity)
         for share, g in zip(shares, grants):
             share.granted = float(g)
             share.total_granted += float(g)
-            share.demand = 0.0
+            share._demand = 0.0
+        if not any(demands):
+            self.park()

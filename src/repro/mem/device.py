@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Literal, Optional, Protocol, runtime_checkable
 
+from repro.sim.periodic import Lane, Parkable
 from repro.util import fair_share
 
 __all__ = ["DeviceQueue", "SSDSwapDevice", "SwapBackend"]
@@ -26,39 +27,21 @@ __all__ = ["DeviceQueue", "SSDSwapDevice", "SwapBackend"]
 Kind = Literal["read", "write"]
 
 
-class DeviceQueue:
+class DeviceQueue(Lane):
     """One requester's lane on a device.
 
-    ``demand`` is set (or accumulated) during pre-tick; ``granted`` is
-    filled by the device's arbitration; both are reset at the start of the
-    next arbitration round.
+    ``demand`` is set (or accumulated) during pre-tick and wakes the
+    device; ``granted`` is filled by the device's arbitration, which
+    also consumes the demand.
     """
 
-    __slots__ = ("name", "kind", "demand", "granted",
-                 "total_granted", "active", "_owner")
+    __slots__ = ("kind",)
 
     def __init__(self, name: str, kind: Kind):
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write': {kind}")
-        self.name = name
+        super().__init__(name)
         self.kind = kind
-        self.demand = 0.0
-        self.granted = 0.0
-        self.total_granted = 0.0
-        self.active = True
-        #: the arbiter that owns this lane; close() flags it for
-        #: compaction so arbitrate() need not scan for dead queues
-        self._owner = None
-
-    def close(self) -> None:
-        self.active = False
-        self.demand = 0.0
-        # a consumer reading a just-closed queue in the same commit phase
-        # must not re-consume last tick's grant
-        self.granted = 0.0
-        owner = self._owner
-        if owner is not None:
-            owner._needs_compact = True
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DeviceQueue {self.name} {self.kind}>"
@@ -72,10 +55,11 @@ class SwapBackend(Protocol):
                    host: Optional[str] = None) -> DeviceQueue: ...
 
 
-class SSDSwapDevice:
+class SSDSwapDevice(Parkable):
     """A locally-attached SSD swap device (the baselines' backing store).
 
-    Register with the tick engine as an **arbiter**.
+    Register with the tick engine as an **arbiter**; it parks after an
+    arbitration that saw no demand.
 
     Parameters
     ----------
@@ -146,13 +130,15 @@ class SSDSwapDevice:
             self._needs_compact = False
         reads = [q for q in self._queues if q.kind == "read"]
         writes = [q for q in self._queues if q.kind == "write"]
-        read_demand = sum(q.demand for q in reads)
-        write_demand = sum(q.demand for q in writes)
+        read_demand = sum(q._demand for q in reads)
+        write_demand = sum(q._demand for q in writes)
         eff = (self.mixed_efficiency
                if read_demand > 0 and write_demand > 0 else 1.0)
         eff *= self.degrade_factor
         self._grant(reads, self.read_bps * dt * eff)
         self._grant(writes, self.write_bps * dt * eff)
+        if not (read_demand > 0 or write_demand > 0):
+            self.park()  # every grant just written is 0
 
     @staticmethod
     def _grant(queues: list[DeviceQueue], capacity: float) -> None:
@@ -163,8 +149,8 @@ class SSDSwapDevice:
         queues = [q for q in queues if q.active]
         if not queues:
             return
-        grants = fair_share([q.demand for q in queues], capacity)
+        grants = fair_share([q._demand for q in queues], capacity)
         for q, g in zip(queues, grants):
             q.granted = float(g)
             q.total_granted += float(g)
-            q.demand = 0.0
+            q._demand = 0.0

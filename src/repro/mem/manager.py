@@ -21,7 +21,8 @@ The tick-phase bookkeeping (writeback-demand declaration, fault
 throttling, the writeback drain) and the host-pressure victim search are
 plain loops over the registered bindings: per-VM residency is an O(1)
 :class:`~repro.mem.pages.PageSet` counter, so each loop costs a few
-attribute reads per VM.
+attribute reads per VM. A manager owing no writeback parks (leaves the
+tick engine's active set); an eviction that queues writeback wakes it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from repro.mem.cgroup import Cgroup
 from repro.mem.device import DeviceQueue, SwapBackend
 from repro.mem.pages import PageSet
+from repro.sim.periodic import Parkable
 from repro.telemetry.instruments import NULL_METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,7 +78,7 @@ class VmMemoryBinding:
                 f"writeback_backlog={self.writeback_backlog!r})")
 
 
-class HostMemoryManager:
+class HostMemoryManager(Parkable):
     """Tick participant managing one host's physical memory."""
 
     #: writeback debt above which fault admission is throttled (models the
@@ -101,11 +103,29 @@ class HostMemoryManager:
         #: resident bytes over every binding, moved by the bound page
         #: sets' transitions (:meth:`PageSet.bind`)
         self._resident_bytes = 0
-        self.tick = 0
+        #: sets this manager adds itself to whenever that total moves
+        #: (see :meth:`watch_resident`)
+        self._resident_watchers: list[set] = []
+        self._tick = 0
+
+    @property
+    def tick(self) -> int:
+        """The LRU clock stamped on faulted and touched pages: the tick
+        engine's tick index, so a parked manager's clock keeps time. A
+        manager driven by hand keeps the value its caller sets."""
+        engine = self._engine
+        return self._tick if engine is None else engine.tick_index
+
+    @tick.setter
+    def tick(self, value: int) -> None:
+        self._tick = value
 
     # -- registration ----------------------------------------------------------
     def register_vm(self, vm: "VirtualMachine", cgroup: Cgroup,
-                    backend: SwapBackend) -> VmMemoryBinding:
+                    backend: SwapBackend,
+                    writeback_backlog: float = 0.0) -> VmMemoryBinding:
+        """Bind ``vm``'s pages; ``writeback_backlog`` carries write debt
+        across (a migration re-keying the destination binding)."""
         if vm.name in self._bindings:
             raise ValueError(f"VM already registered: {vm.name}")
         binding = VmMemoryBinding(
@@ -114,9 +134,12 @@ class HostMemoryManager:
                                            host=self.host),
             write_queue=backend.open_queue(f"{vm.name}.writeback", "write",
                                            host=self.host),
+            writeback_backlog=writeback_backlog,
         )
         self._bindings[vm.name] = binding
         binding.pages.bind(self)
+        if writeback_backlog > 0:
+            self.wake()
         return binding
 
     def unregister_vm(self, vm_name: str) -> None:
@@ -147,6 +170,19 @@ class HostMemoryManager:
         """Resident bytes over every binding, in O(1): the bound page
         sets push each residency change here."""
         return self._resident_bytes
+
+    def move_resident(self, delta: int) -> None:
+        """Move the resident total by ``delta`` bytes (called by the
+        bound page sets) and flag this manager to every watcher."""
+        self._resident_bytes += delta
+        for moved in self._resident_watchers:
+            moved.add(self)
+
+    def watch_resident(self, moved: set) -> None:
+        """Add this manager to ``moved`` whenever its resident total
+        changes (a host view rereads only the flagged hosts)."""
+        if not any(w is moved for w in self._resident_watchers):
+            self._resident_watchers.append(moved)
 
     def free_bytes(self) -> float:
         return self.usable_bytes() - self.total_resident_bytes()
@@ -236,7 +272,9 @@ class HostMemoryManager:
         write_bytes = float(np.count_nonzero(needs_write)) * pages.page_size
         pages.swap_out(victims)
         pages.swap_clean[victims] = True
-        b.writeback_backlog += write_bytes
+        if write_bytes > 0:
+            b.writeback_backlog += write_bytes
+            self.wake()
         b.cgroup.account_swap_out(write_bytes)
         return int(victims.size)
 
@@ -281,8 +319,14 @@ class HostMemoryManager:
                 b.fault_queue.demand *= cap / d
 
     def commit_tick(self, dt: float) -> None:
-        self.tick += 1
+        """Drain granted writeback; park once no binding owes any (the
+        next pre-tick would only declare zero demand)."""
+        owed = False
         for b in self._bindings.values():
             g = b.write_queue.granted
             if g > 0:
                 b.writeback_backlog = max(0.0, b.writeback_backlog - g)
+            if b.writeback_backlog > 0 or b.write_queue.demand > 0:
+                owed = True
+        if not owed:
+            self.park()

@@ -87,8 +87,8 @@ class PageSet:
         #: running count of set ``present`` bits (kept exact by the
         #: transition methods; O(1) residency queries)
         self._n_resident = 0
-        #: managers binding this set, one entry per binding; each keeps
-        #: a ``_resident_bytes`` total that every transition moves
+        #: managers binding this set, one entry per binding; every
+        #: transition moves each one's resident total
         self._owners: list = []
         # incremental LRU (built on the first eviction): resident page ids
         # sorted by (last_access, tie rank), the count of leading entries
@@ -135,21 +135,21 @@ class PageSet:
 
     # -- manager bindings ------------------------------------------------------
     def bind(self, manager) -> None:
-        """Count this set in ``manager._resident_bytes`` from now on
+        """Count this set in ``manager``'s resident total from now on
         (its current resident bytes included)."""
         self._owners.append(manager)
-        manager._resident_bytes += self.resident_bytes()
+        manager.move_resident(self.resident_bytes())
 
     def unbind(self, manager) -> None:
         """Undo one :meth:`bind` of ``manager``."""
         self._owners.remove(manager)
-        manager._resident_bytes -= self.resident_bytes()
+        manager.move_resident(-self.resident_bytes())
 
     def _push(self, pages: int) -> None:
         """Move every binding manager's total by ``pages`` pages."""
         delta = pages * self.page_size
         for manager in self._owners:
-            manager._resident_bytes += delta
+            manager.move_resident(delta)
 
     # -- transitions ---------------------------------------------------------
     def touch(self, idx: np.ndarray, tick: int) -> None:

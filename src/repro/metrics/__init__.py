@@ -13,16 +13,11 @@ and fault logs.
 from repro.metrics.series import TimeSeries
 from repro.metrics.recorder import Recorder
 from repro.metrics.analysis import recovery_time, window_mean
-from repro.metrics.export import (
-    fault_log_to_csv,
-    fault_log_to_dict,
-    report_to_dict,
-)
+from repro.metrics.export import fault_log_to_dict, report_to_dict
 
 __all__ = [
     "Recorder",
     "TimeSeries",
-    "fault_log_to_csv",
     "fault_log_to_dict",
     "recovery_time",
     "report_to_dict",

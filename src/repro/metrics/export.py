@@ -3,7 +3,7 @@ deterministic JSON encoder every exporter shares.
 
 Experiment results should outlive the Python process — these helpers
 turn :class:`~repro.core.base.MigrationReport` objects and fault logs
-into JSON-ready dicts and CSV files. :func:`dumps` is the canonical
+into JSON-ready dicts. :func:`dumps` is the canonical
 encoding (sorted keys, compact separators, NumPy scalars unwrapped)
 behind the trace (:mod:`repro.obs.export`) and metrics
 (:mod:`repro.telemetry.export`) files, so same-seed runs write
@@ -12,15 +12,13 @@ byte-identical bytes.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-__all__ = ["PathLike", "dumps", "fault_log_to_csv", "fault_log_to_dict",
-           "report_to_dict"]
+__all__ = ["PathLike", "dumps", "fault_log_to_dict", "report_to_dict"]
 
 PathLike = Union[str, Path]
 
@@ -67,15 +65,3 @@ def fault_log_to_dict(log: Any, until: Optional[float] = None) -> dict:
         "vm_unavailable_seconds": log.vm_unavailable_seconds(until),
         "unavailable_vms": log.unavailable_vms(),
     }
-
-
-def fault_log_to_csv(log: Any, path: PathLike) -> Path:
-    """The fault/recovery event timeline as a
-    ``t,action,kind,target,detail`` CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "action", "kind", "target", "detail"])
-        for t, action, kind, target, detail in log.to_rows():
-            writer.writerow([repr(float(t)), action, kind, target, detail])
-    return path

@@ -17,7 +17,6 @@ from repro.obs.export import (
     trace_to_chrome,
     trace_to_jsonl,
 )
-from repro.obs.check import missing_categories, validate_chrome_trace
 
 __all__ = [
     "NULL_TRACER",
@@ -32,3 +31,15 @@ __all__ = [
     "trace_to_jsonl",
     "validate_chrome_trace",
 ]
+
+#: names served from :mod:`repro.obs.check` on first use; importing it
+#: here eagerly would make ``python -m repro.obs.check`` find its own
+#: module already imported (a ``RuntimeWarning`` on every run)
+_CHECK_EXPORTS = ("missing_categories", "validate_chrome_trace")
+
+
+def __getattr__(name: str):
+    if name in _CHECK_EXPORTS:
+        from repro.obs import check
+        return getattr(check, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,9 @@
 This package provides the simulation substrate used by every other part of
 the reproduction: a deterministic event queue, generator-based processes
 (``yield Timeout(...)`` / ``yield other_process`` in the style of SimPy),
-periodic tasks for tick-driven resource models, and seeded RNG streams.
+periodic tasks, the tick engine for rate-based resource models (whose
+idle :class:`Parkable` objects leave its active set until woken), and
+seeded RNG streams.
 
 The kernel is deliberately dependency-free and fully deterministic: two runs
 with the same seed produce identical event orderings.
@@ -16,12 +18,22 @@ from repro.sim.kernel import (
     Simulator,
     Timeout,
 )
-from repro.sim.periodic import PeriodicTask, TickEngine, TickParticipant
+from repro.sim.periodic import (
+    Arbiter,
+    Lane,
+    Parkable,
+    PeriodicTask,
+    TickEngine,
+    TickParticipant,
+)
 from repro.sim.rng import RngStreams
 
 __all__ = [
+    "Arbiter",
     "Event",
     "Interrupt",
+    "Lane",
+    "Parkable",
     "PeriodicTask",
     "Process",
     "RngStreams",

@@ -74,10 +74,7 @@ class VMDCluster:
             replication=replication)
         self.namespaces[name] = ns
         self._refs[name] = 1
-        # pre-phase only: a namespace's commit-phase work happens in its
-        # arbitrate() (translating flow grants), so registering it for
-        # the commit phase would only add a no-op call per tick per VM
-        self.engine.add_participant(ns, order=ADAPTER_ORDER, phases=("pre",))
+        self.engine.add_participant(ns, order=ADAPTER_ORDER)
         self.engine.add_arbiter(ns, order=ADAPTER_ORDER)
         if self.tracer.enabled:
             self.tracer.instant(

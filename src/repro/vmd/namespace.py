@@ -20,6 +20,7 @@ from typing import Optional
 from repro.mem.device import DeviceQueue, Kind
 from repro.net.flow import Flow
 from repro.net.network import Network
+from repro.sim.periodic import Parkable
 from repro.vmd.placement import RoundRobinPlacement
 from repro.vmd.server import VMDServer
 
@@ -45,15 +46,17 @@ class VmdQueue(DeviceQueue):
         self.flows.clear()
 
 
-class VMDNamespace:
+class VMDNamespace(Parkable):
     """One VM's portable swap device.
 
     Registration: add as a tick **participant with a late order** (its
     ``pre_tick`` translates consumer queue demands into flow demands, so
     it must run after consumers) *and* as an **arbiter after the network**
     (its ``arbitrate`` translates flow grants back into queue grants and
-    allocates server memory for accepted writes). The
-    :class:`~repro.cluster.ClusterBuilder` wires this up.
+    allocates server memory for accepted writes).
+    :meth:`~repro.vmd.VMDCluster.create_namespace` wires this up. A
+    namespace with no queue demand and no repair backlog parks in both
+    roles; queue demand or a repair backlog wakes it.
     """
 
     def __init__(self, name: str, network: Network,
@@ -167,6 +170,7 @@ class VMDNamespace:
         self._stored[server] = 0.0
         if self.replication >= 2:
             self._repair_backlog += lost
+            self.wake()
         else:
             self.data_lost = True
         return lost
@@ -214,7 +218,7 @@ class VMDNamespace:
             self._needs_compact = False
         self._write_plans.clear()
         for q in self._queues:
-            if q.demand <= 0:
+            if q._demand <= 0:
                 continue
             if q.kind == "write":
                 # One placement plan, scaled by the replication factor
@@ -267,14 +271,12 @@ class VMDNamespace:
             flow.demand = min(q.demand * w, server.service_bps * dt)
 
     def commit_tick(self, dt: float) -> None:
-        """No commit-phase work; grants were produced in :meth:`arbitrate`.
-
-        Kept to satisfy the :class:`TickParticipant` protocol, but the
-        cluster registers namespaces with ``phases=("pre",)`` so the tick
-        engine never actually calls this.
-        """
+        """No commit-phase work; grants were produced in :meth:`arbitrate`
+        (an idle namespace is parked, so this costs a call only on ticks
+        with traffic)."""
 
     def arbitrate(self, dt: float) -> None:
+        busy = False
         for q in self._queues:
             granted = 0.0
             for server, flow in q.flows.items():
@@ -289,9 +291,11 @@ class VMDNamespace:
             if q.kind == "write" and self.replication > 1:
                 # the wire moved r copies; the caller wrote g/r bytes
                 granted /= self.replication
+            if granted > 0 or q._demand > 0:
+                busy = True
             q.granted = granted
             q.total_granted += granted
-            q.demand = 0.0
+            q._demand = 0.0
         if self._repair_plan:
             for target, flow in self._repair_plan.items():
                 g = flow.granted
@@ -314,6 +318,8 @@ class VMDNamespace:
             if self._repair_backlog <= 1e-6:
                 self._repair_backlog = 0.0
                 self._close_repair_flows()
+        if not busy and not self._repair_backlog:
+            self.park()  # every queue grant just written is 0
 
     # -- internals -----------------------------------------------------------
     def _flow_for(self, q: VmdQueue, server: VMDServer) -> Flow:

@@ -33,9 +33,15 @@ def build(replication=1, schedule=None, tracer=None, vmd_servers=2,
 
 
 def engine_load(world):
-    """(participants, arbiters) counts — the leak meter."""
-    return (len(world.engine._participants),
-            len(world.engine._arbiters))
+    """(participants, arbiters) registered — the leak meter. The active
+    set and the parked objects split the registered ones between them."""
+    engine = world.engine
+    registered = engine._participants.keys() | engine._arbiters.keys()
+    active = {id(obj) for _, _, obj in
+              engine._active_participants + engine._active_arbiters}
+    assert active | engine._parked.keys() == registered
+    assert not active & engine._parked.keys()
+    return (len(engine._participants), len(engine._arbiters))
 
 
 # -- snapshot capture ---------------------------------------------------------

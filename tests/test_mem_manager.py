@@ -374,6 +374,7 @@ class CheckedHost:
                 assert b.fault_queue.demand == fault_demand
         self.dev.arbitrate(dt)
         mgr.commit_tick(dt)
+        mgr.tick += 1  # the LRU clock of a manager driven by hand
         for b, (backlog, _) in zip(bindings, before):
             assert 0.0 <= b.writeback_backlog <= backlog
             assert b.cgroup.swap_out_bytes_total == pytest.approx(

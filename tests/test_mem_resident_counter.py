@@ -34,8 +34,10 @@ class CounterAudit:
     def __init__(self, world):
         self.world = world
         self.ticks = 0
-        world.engine.add_participant(self, order=10 ** 9,
-                                     phases=("commit",))
+        world.engine.add_participant(self, order=10 ** 9)
+
+    def pre_tick(self, dt: float) -> None:
+        pass
 
     def commit_tick(self, dt: float) -> None:
         for name, host in sorted(self.world.hosts.items()):

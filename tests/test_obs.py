@@ -2,6 +2,10 @@
 check."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +247,22 @@ def test_check_cli(tmp_path, capsys):
     assert main([str(tmp_path / "missing.json")]) == 1
     out = capsys.readouterr().out
     assert "ok:" in out and "FAIL" in out
+
+
+def test_check_module_runs_without_runtime_warning(tmp_path):
+    """``python -m repro.obs.check`` must not find its own module
+    already imported by ``repro.obs`` (a RuntimeWarning, here an
+    error)."""
+    path = trace_to_chrome(sample_tracer(), tmp_path / "t.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.obs.check", str(path), "--require", "planner,net"],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "ok:" in run.stdout
+    assert "RuntimeWarning" not in run.stderr
 
 
 # -- exporter round-trips -------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PeriodicTask, RngStreams, Simulator, TickEngine
+from repro.sim import Parkable, PeriodicTask, RngStreams, Simulator, TickEngine
+from tests.tick_reference import AlwaysTickEngine
 
 
 class Recorder:
@@ -98,8 +99,12 @@ def test_tick_engine_registration_order_matches_a_full_sort(ops):
         ranked = sorted(keys[is_arb], key=keys[is_arb].get)
         return [objs[is_arb][i] for i in ranked]
 
-    assert [p for _, _, p, _, _ in eng._participants] == expected(False)
-    assert [a for _, _, a in eng._arbiters] == expected(True)
+    assert [p for _, _, p in eng._active_participants] == expected(False)
+    assert [a for _, _, a in eng._active_arbiters] == expected(True)
+    assert [p for _, _, p in sorted(eng._participants.values())] \
+        == expected(False)
+    assert [a for _, _, a in sorted(eng._arbiters.values())] \
+        == expected(True)
     for is_arb in (False, True):
         for i in range(6):
             with pytest.raises(ValueError):
@@ -113,6 +118,129 @@ def test_tick_engine_registration_order_matches_a_full_sort(ops):
     names = [p.name for p in expected(False)]
     assert log == [("pre", n) for n in names] \
         + [("arb", "a")] * len(keys[True]) + [("commit", n) for n in names]
+
+
+PHASES = ("pre", "arb", "commit")
+
+
+class Probe(Parkable):
+    """Does one unit of work per call while it has any. A work call is
+    logged and then runs the probe's script for that phase (give another
+    probe work, or toggle its registration); a call without work parks
+    the probe, unless it is ``sticky``."""
+
+    def __init__(self, env, name, script, sticky):
+        self.env = env
+        self.name = name
+        self.script = script
+        self.sticky = sticky
+        self.pending = 0
+
+    def _call(self, phase):
+        if self.pending <= 0:
+            if not self.sticky:
+                self.park()
+            return
+        self.pending -= 1
+        self.env.log.append((self.env.engine.tick_index, phase, self.name))
+        for when, kind, target, units in self.script:
+            if when == phase:
+                self.env.act(kind, target, units)
+
+    def pre_tick(self, dt):
+        self._call("pre")
+
+    def arbitrate(self, dt):
+        self._call("arb")
+
+    def commit_tick(self, dt):
+        self._call("commit")
+
+
+class ProbeEnv:
+    """One engine driving the probes of ``spec``."""
+
+    def __init__(self, engine_cls, spec):
+        self.sim = Simulator()
+        self.engine = engine_cls(self.sim, dt=1.0)
+        self.log = []
+        self.roles = []
+        self.probes = []
+        for i, (roles, order, pending, sticky, script) in enumerate(spec):
+            probe = Probe(self, f"x{i}", script, sticky)
+            probe.pending = pending
+            self.probes.append(probe)
+            self.roles.append((roles, order))
+        self.registered = set()
+
+    def act(self, kind, i, units):
+        probe = self.probes[i]
+        if kind == "work":
+            probe.pending += units
+            probe.wake()
+            return
+        roles, order = self.roles[i]
+        if i in self.registered:
+            self.registered.discard(i)
+            if roles != "a":
+                self.engine.remove_participant(probe)
+            if roles != "p":
+                self.engine.remove_arbiter(probe)
+        else:
+            self.registered.add(i)
+            if roles != "a":
+                self.engine.add_participant(probe, order=order)
+            if roles != "p":
+                self.engine.add_arbiter(probe, order=order)
+
+    def run(self, between):
+        """Tick by tick, with ``between[t]`` acted out before tick t."""
+        for t, actions in enumerate(between):
+            for kind, i, units in actions:
+                self.act(kind, i, units)
+            if t == 0:
+                self.engine.start()
+            self.sim.run(until=float(t + 1))
+            yield t
+
+
+_KINDS = st.sampled_from(("work", "work", "toggle"))
+#: (kind, probe, units) acted out between ticks
+_actions = st.tuples(_KINDS, st.integers(0, 5), st.integers(1, 2))
+#: (phase, kind, probe, units) acted out by a probe's work call
+_script = st.tuples(st.sampled_from(PHASES), _KINDS, st.integers(0, 5),
+                    st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.lists(st.tuples(st.sampled_from(("p", "a", "pa")),
+                               st.integers(0, 3), st.integers(0, 2),
+                               st.booleans(),
+                               st.lists(_script, max_size=3)),
+                     min_size=6, max_size=6),
+       between=st.lists(st.lists(_actions, max_size=3), min_size=1,
+                        max_size=8),
+       initial=st.sets(st.integers(0, 5)))
+def test_active_set_runs_exactly_the_always_tick_calls_that_work(
+        spec, between, initial):
+    """Random registrations, parks and wake-ups (from inside each phase,
+    at earlier or later orders, for the same or another phase, and
+    between ticks): the active-set engine must make every call the
+    always-tick engine makes that does work, in the same order, and no
+    parked probe may hold work after a tick."""
+    logs = []
+    for engine_cls in (TickEngine, AlwaysTickEngine):
+        env = ProbeEnv(engine_cls, spec)
+        for i in sorted(initial):
+            env.act("toggle", i, 0)
+        for _ in env.run(between):
+            if engine_cls is TickEngine:
+                for key, probe in env.engine._parked.items():
+                    assert probe.pending == 0, probe.name
+                    assert key in env.engine._participants \
+                        or key in env.engine._arbiters
+        logs.append((env.log, [p.pending for p in env.probes]))
+    assert logs[0] == logs[1]
 
 
 def test_tick_engine_start_idempotent():

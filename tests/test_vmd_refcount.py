@@ -42,7 +42,7 @@ def test_release_removes_tick_registration_only_at_zero():
     vmd = world.vmd
     engine = world.engine
     base = (len(engine._participants), len(engine._arbiters))
-    vmd.create_namespace("img")
+    ns = vmd.create_namespace("img")
     assert (len(engine._participants), len(engine._arbiters)) \
         == (base[0] + 1, base[1] + 1)
     vmd.retain_namespace("img")
@@ -52,6 +52,10 @@ def test_release_removes_tick_registration_only_at_zero():
         == (base[0] + 1, base[1] + 1)
     vmd.release_namespace("img")
     assert (len(engine._participants), len(engine._arbiters)) == base
+    # gone from the active set and the parked objects alike
+    assert id(ns) not in engine._parked
+    assert all(obj is not ns for _, _, obj in
+               engine._active_participants + engine._active_arbiters)
 
 
 def test_retain_and_release_of_unknown_namespace_raise():
