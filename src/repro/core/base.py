@@ -21,7 +21,7 @@ Subclasses implement the technique-specific phase logic on top.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ from repro.metrics.recorder import Recorder
 from repro.net.channel import StreamChannel
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER
-from repro.telemetry.instruments import NULL_METRICS
 from repro.sim.kernel import Simulator
+from repro.telemetry.instruments import NULL_METRICS
 from repro.vm.vm import VirtualMachine, VmState
 from repro.vmd.namespace import VMDNamespace
 
@@ -233,19 +233,6 @@ class PendingScan:
             cur += window.size
             chunk = min(chunk * 4, 1 << 20)
         self._cursor = cur
-
-    def peek_swapped_fraction(self, swapped: np.ndarray,
-                              window: int = 8192) -> float:
-        """Fraction of the next ``window`` pending pages that are swapped
-        (used to size the source swap-read demand)."""
-        self._skip_cleared()
-        ahead = self._order[self._cursor:self._cursor + window]
-        if ahead.size == 0:
-            return 0.0
-        live = ahead[self.pending[ahead]]
-        if live.size == 0:
-            return 0.0
-        return float(np.count_nonzero(swapped[live])) / live.size
 
     def peek_swapped_count(self, swapped: np.ndarray, window: int) -> int:
         """Swapped pages among the next ``window`` live pending pages.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.experiments.runners import (
     MIGRATE_AT,
@@ -181,7 +182,7 @@ def cmd_churn(seed=None, quick=False, tracer=None,
     return 0
 
 
-def cmd_fleet(args) -> int:
+def cmd_fleet(args, tracer=None, metrics=None) -> int:
     """The tenant-churn fleet scenario, or its swap-vs-greedy ablation
     as a CI gate (swap-aware must not move more migration bytes)."""
     from repro.experiments.fleet import (
@@ -206,12 +207,10 @@ def cmd_fleet(args) -> int:
         return 0
     cfg = quick_config(seed=seed) if args.quick else FleetConfig(seed=seed)
     if args.pattern:
-        from dataclasses import replace
         cfg = replace(cfg, demand=replace(cfg.demand,
                                           pattern=args.pattern))
-    cfg = replace_strategy(cfg, args.strategy) if args.strategy else cfg
-    tracer = make_tracer(args)
-    metrics = make_metrics(args)
+    if args.strategy:
+        cfg = replace(cfg, strategy=args.strategy)
     res = fleet_run(cfg, tracer=tracer, metrics=metrics)
     mode = "quick" if args.quick else "full"
     print(f"Fleet churn scenario ({mode}, seed {seed}, "
@@ -230,7 +229,7 @@ def cmd_fleet(args) -> int:
     return 0
 
 
-def cmd_flashcrowd(args) -> int:
+def cmd_flashcrowd(args, tracer=None, metrics=None) -> int:
     """The flash-crowd scale-out scenario, or its clone-vs-fullcopy
     ablation as a CI gate (clones must reach N serving faster)."""
     from repro.experiments.flashcrowd import (
@@ -257,10 +256,7 @@ def cmd_flashcrowd(args) -> int:
     cfg = (quick_config(seed=seed) if args.quick
            else FlashCrowdConfig(seed=seed))
     if args.provision:
-        from dataclasses import replace
         cfg = replace(cfg, provision=args.provision)
-    tracer = make_tracer(args)
-    metrics = make_metrics(args)
     res = flashcrowd_run(cfg, tracer=tracer, metrics=metrics)
     mode = "quick" if args.quick else "full"
     t = res["time_to_n_serving"]
@@ -289,7 +285,7 @@ def cmd_flashcrowd(args) -> int:
     return 0
 
 
-def cmd_slo(args) -> int:
+def cmd_slo(args, tracer=None, metrics=None) -> int:
     """The SLO-aware shedding scenario, or its aware-vs-blind ablation
     as a CI gate (the aware selector must strictly cut the serving
     tenant's violation-seconds)."""
@@ -320,8 +316,6 @@ def cmd_slo(args) -> int:
         print(f"  gate ok: aware {aware_v:g} s < blind {blind_v:g} s "
               f"violation-seconds")
         return 0
-    tracer = make_tracer(args)
-    metrics = make_metrics(args)
     res = slo_run(blind=args.slo_blind, config=config, until=until,
                   tracer=tracer, metrics=metrics)
     print(f"SLO-aware shedding ({res['arm']} selector):")
@@ -339,11 +333,6 @@ def cmd_slo(args) -> int:
     export_trace(tracer, args.trace)
     export_metrics(metrics, args.metrics)
     return 0
-
-
-def replace_strategy(cfg, strategy: str):
-    from dataclasses import replace
-    return replace(cfg, strategy=strategy)
 
 
 def cmd_wss(which: str, seed=None, tracer=None) -> None:
@@ -427,7 +416,10 @@ def main(argv=None) -> int:
         print(f"note: --trace is not supported for {exp} "
               f"(multi-run sweep); ignoring")
         args.trace = None
+    # one tracer and one registry per run, handed to the command that
+    # records into them; each export follows the command's report
     tracer = make_tracer(args)
+    metrics = make_metrics(args)
     if exp in FIG_TECH:
         cmd_timeline(exp, seed=args.seed, tracer=tracer)
     elif exp in ("fig7", "fig8"):
@@ -436,24 +428,22 @@ def main(argv=None) -> int:
     elif exp in ("tab1", "tab2", "tab3"):
         cmd_table(exp, seed=args.seed)
     elif exp == "dc":
-        metrics = make_metrics(args)
         cmd_datacenter(seed=args.seed,
                        health_aware=not args.health_blind,
                        tracer=tracer, quick=args.quick, metrics=metrics)
         export_metrics(metrics, args.metrics)
     elif exp == "churn":
-        metrics = make_metrics(args)
         rc = cmd_churn(seed=args.seed, quick=args.quick, tracer=tracer,
                        metrics=metrics)
         export_trace(tracer, args.trace)
         export_metrics(metrics, args.metrics)
         return rc
     elif exp == "fleet":
-        return cmd_fleet(args)
+        return cmd_fleet(args, tracer, metrics)
     elif exp == "flashcrowd":
-        return cmd_flashcrowd(args)
+        return cmd_flashcrowd(args, tracer, metrics)
     elif exp == "slo":
-        return cmd_slo(args)
+        return cmd_slo(args, tracer, metrics)
     else:
         cmd_wss(exp, seed=args.seed, tracer=tracer)
     export_trace(tracer, args.trace)

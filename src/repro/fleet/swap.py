@@ -57,8 +57,6 @@ class RebalanceConfig:
     target_watermark: float = 0.75
     #: migration admissions per round (swaps count both halves)
     max_moves_per_round: int = 4
-    #: permit swap partners from a different tenant
-    allow_inter_tenant: bool = True
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -240,13 +238,9 @@ class SwapRebalancer:
             partners = [(p, psize)
                         for p, psize in self._movable_vms(dst.name)
                         if psize < size]
-            if not self.config.allow_inter_tenant:
-                partners = [(p, s) for p, s in partners
-                            if self.view.tenant_of(p) == tenant]
-            else:
-                # prefer intra-tenant partners, then smallest first
-                partners.sort(key=lambda t: (
-                    self.view.tenant_of(t[0]) != tenant, t[1], t[0]))
+            # prefer intra-tenant partners, then smallest first
+            partners.sort(key=lambda t: (
+                self.view.tenant_of(t[0]) != tenant, t[1], t[0]))
             for partner, psize in partners:
                 # outbound half first: if the return half fails, the
                 # overloaded host still shed its VM (a plain move)

@@ -89,18 +89,6 @@ class Host:
         see here (a listed VM's tenant label was assigned late)."""
         self.version += 1
 
-    def adopt_vm(self, vm: VirtualMachine, binding_from: VmMemoryBinding,
-                 backend: Optional[SwapBackend] = None) -> VmMemoryBinding:
-        """Register an incoming (migrated) VM, carrying its cgroup across.
-
-        By default the swap backend also carries over — the paper's
-        portable per-VM swap device (§IV-B). The baselines instead pass
-        the destination host's local swap device, because a host-level
-        swap partition is not reachable from the destination.
-        """
-        return self.place_vm_with_cgroup(vm, binding_from.cgroup,
-                                         backend or binding_from.backend)
-
     def place_vm_with_cgroup(self, vm: VirtualMachine, cgroup: Cgroup,
                              swap_backend: SwapBackend,
                              writeback_backlog: float = 0.0

@@ -10,10 +10,10 @@ Series are read in process; :mod:`repro.metrics.export` writes reports
 and fault logs.
 """
 
-from repro.metrics.series import TimeSeries
-from repro.metrics.recorder import Recorder
 from repro.metrics.analysis import recovery_time, window_mean
 from repro.metrics.export import fault_log_to_dict, report_to_dict
+from repro.metrics.recorder import Recorder
+from repro.metrics.series import TimeSeries
 
 __all__ = [
     "Recorder",

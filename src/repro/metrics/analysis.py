@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.metrics.series import TimeSeries
 
 __all__ = ["recovery_time", "window_mean"]

@@ -112,9 +112,8 @@ class ClusterControlPlane:
         #: the trigger re-arms when this reaches zero, not on the first
         #: completion (a multi-VM shed must fully land first)
         self._outstanding: dict[str, int] = {}
-        cfg = self.planner.config
-        if cfg.forecast_alpha > 0:
-            world.start_usage_feed(cfg.forecast_sample_interval_s)
+        if self.planner.config.forecast_alpha > 0:
+            world.start_usage_feed()
             world.subscribe_usage(self.planner.observe_usage)
 
     # -- triggers -------------------------------------------------------------
@@ -210,20 +209,6 @@ class ClusterControlPlane:
             return None
         self._plan_of[new.vm] = new
         return self._factory_for(new)
-
-    # -- convenience ----------------------------------------------------------
-    def place_new_vm(self, memory_demand_bytes: float,
-                     reserve: bool = False) -> Optional[str]:
-        """Health- and topology-aware host choice for a brand-new VM.
-
-        With ``reserve=True`` the choice is charged in the planner's
-        in-flight reservation ledger until the caller registers the
-        VM's memory and calls ``planner.release_boot(host, bytes)`` —
-        without it, a migration planned during the boot window can
-        overcommit the host this boot was admitted to.
-        """
-        return self.planner.initial_placement(memory_demand_bytes,
-                                              reserve=reserve)
 
     def stop(self) -> None:
         for trigger in self.triggers.values():

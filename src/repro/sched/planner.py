@@ -11,8 +11,8 @@ destination by a deterministic score:
   instead of moving it;
 * **rack locality vs fault-domain anti-affinity** — a same-rack move
   avoids the ToR uplink (cheaper, faster); a cross-rack move leaves the
-  failing host's fault domain (survives a rack crash). The two weights
-  express the trade-off; the default favors spreading;
+  failing host's fault domain (survives a rack crash). Two fixed
+  bonuses express the trade-off, and spreading wins;
 * **congestion** — destinations already receiving migrations, and rack
   uplinks already carrying them, are penalized and capped;
 * **health** — DOWN / RECENTLY_FAILED hosts are never chosen, DEGRADED
@@ -57,12 +57,21 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sched.health import HostHealthTracker
 from repro.sched.topology import Topology
-from repro.vm.vm import VmState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.world import World
 
 __all__ = ["MigrationPlan", "MigrationPlanner", "PlannerConfig"]
+
+#: score bonus for staying inside the source's rack (no uplink crossing)
+_LOCALITY_BONUS = 0.2
+#: score bonus per tier of fault-domain separation from the source (×1
+#: cross-rack, ×2 cross-pod, ×3 cross-AZ; flat topologies are ×1)
+_SPREAD_BONUS = 0.5
+#: score multiplier for a DEGRADED destination
+_DEGRADED_PENALTY = 0.5
+#: how far ahead the usage forecast extrapolates the trend (seconds)
+_FORECAST_HORIZON_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -73,15 +82,6 @@ class PlannerConfig:
     max_per_host: int = 1
     #: concurrent inter-rack migrations per rack uplink direction
     max_per_uplink: int = 2
-    #: weight of the destination's free-memory fraction
-    headroom_weight: float = 1.0
-    #: bonus for staying inside the source's rack (no uplink crossing)
-    locality_weight: float = 0.2
-    #: bonus per tier of fault-domain separation from the source (×1
-    #: cross-rack, ×2 cross-pod, ×3 cross-AZ; flat topologies are ×1)
-    spread_weight: float = 0.5
-    #: score multiplier for a DEGRADED destination
-    degraded_penalty: float = 0.5
     #: penalty per migration already in flight toward the destination's
     #: rack downlink (congestion avoidance)
     congestion_weight: float = 0.25
@@ -102,16 +102,10 @@ class PlannerConfig:
     #: EWMA smoothing weight for the per-host usage forecast (0 = use
     #: the instantaneous sample; requires the world's usage feed)
     forecast_alpha: float = 0.0
-    #: how far ahead the forecast extrapolates the usage trend
-    forecast_horizon_s: float = 5.0
-    #: sampling period the control plane starts the usage feed with
-    forecast_sample_interval_s: float = 1.0
 
     def __post_init__(self):
         if self.max_per_host < 1 or self.max_per_uplink < 1:
             raise ValueError("admission limits must be at least 1")
-        if not 0.0 <= self.degraded_penalty <= 1.0:
-            raise ValueError("degraded_penalty must be in [0, 1]")
         if self.project_watermark is not None \
                 and not 0.0 < self.project_watermark <= 1.5:
             raise ValueError("project_watermark must be in (0, 1.5]")
@@ -119,9 +113,6 @@ class PlannerConfig:
             raise ValueError("hysteresis knobs must be non-negative")
         if not 0.0 <= self.forecast_alpha <= 1.0:
             raise ValueError("forecast_alpha must be in [0, 1]")
-        if self.forecast_horizon_s < 0 \
-                or self.forecast_sample_interval_s <= 0:
-            raise ValueError("forecast timing must be positive")
 
 
 @dataclass
@@ -354,7 +345,7 @@ class MigrationPlanner:
         """Bytes in-flight work will claim at ``host`` when it lands:
         active migration plans *plus* admitted boots still inside their
         boot delay. Every admission path (migration scoring, directed
-        moves, initial placement) charges against this one number."""
+        moves, fleet boot placement) charges against this one number."""
         return self._reserved.get(host, 0.0) \
             + self._boot_reserved.get(host, 0.0)
 
@@ -458,7 +449,7 @@ class MigrationPlanner:
         fc = self._forecast.get(host_name)
         if fc is None:
             return inst
-        return max(inst, fc.projected(self.config.forecast_horizon_s))
+        return max(inst, fc.projected(_FORECAST_HORIZON_S))
 
     # -- scoring -------------------------------------------------------------
     def score_destination(self, vm_name: str, src: str, dst: str,
@@ -492,20 +483,20 @@ class MigrationPlanner:
                 > cfg.project_watermark * usable:
             return None  # the landing itself would cross the watermark
         free_est = usable - used_est - reserved
-        score = cfg.headroom_weight * max(0.0, free_est) / usable
+        score = max(0.0, free_est) / usable
         topo = self.topology
         if topo is not None and topo.rack_of(src) is not None \
                 and topo.rack_of(dst) is not None:
             # Anti-affinity scales with the deepest domain left behind:
             # staying in-rack earns the locality bonus; crossing racks /
-            # pods / AZs earns spread_weight × tier distance (1 on flat
+            # pods / AZs earns the spread bonus × tier distance (1 on flat
             # topologies — identical to the historical rack-only bonus).
             dist = topo.tier_distance(src, dst)
-            score += (cfg.locality_weight if dist == 0
-                      else cfg.spread_weight * dist)
+            score += (_LOCALITY_BONUS if dist == 0
+                      else _SPREAD_BONUS * dist)
         score -= cfg.congestion_weight * self._inflight_on(dst)
         if self.health is not None and not self.health.is_up(dst):
-            score *= cfg.degraded_penalty  # DEGRADED (placeable, impaired)
+            score *= _DEGRADED_PENALTY  # DEGRADED (placeable, impaired)
         return score
 
     def _stay_score(self, src: str) -> Optional[float]:
@@ -520,42 +511,34 @@ class MigrationPlanner:
         free_est = usable - self._usage_estimate(src, host.memory) \
             - (self.reserved_on(src) if self.config.reserve_in_flight
                else 0.0)
-        return self.config.headroom_weight * max(0.0, free_est) / usable
+        return max(0.0, free_est) / usable
 
-    def _best_destination(self, req: _Request, collect: bool = False):
-        """Best eligible destination for ``req`` (None = none).
-
-        With ``collect`` (tracing), returns ``(best, scored, reason)``
-        where ``scored`` lists every candidate that survived admission
-        with its score — the planner-decision event's evidence — and
-        ``reason`` names why no destination was chosen.
+    def _best_destination(self, vm: str, src: str,
+                          exclude: frozenset = frozenset(),
+                          scored: Optional[list] = None
+                          ) -> Optional[tuple[str, float]]:
+        """Highest-scoring admissible destination as ``(dst, score)``,
+        or None. Hosts in ``exclude`` are skipped. With ``scored``
+        (tracing), every candidate that survived admission is appended
+        with its score — the planner-decision event's evidence.
         """
         cfg = self.config
         best: Optional[tuple[str, float]] = None
-        scored: list[tuple[str, float]] = []
-        reason = "no-destination"
-        demand = self._demand_of(req.vm, req.src)
+        demand = self._demand_of(vm, src)
         for dst in self._candidates():
             # Cheap admission pre-filters before the scoring work.
-            if self._inflight_on(dst) >= cfg.max_per_host:
+            if dst in exclude or self._inflight_on(dst) >= cfg.max_per_host:
                 continue
-            if self._inflight_crossing(req.src, dst) >= cfg.max_per_uplink:
+            if self._inflight_crossing(src, dst) >= cfg.max_per_uplink:
                 continue
-            score = self.score_destination(req.vm, req.src, dst,
-                                           demand=demand)
+            score = self.score_destination(vm, src, dst, demand=demand)
             if score is None:
                 continue
-            if collect:
+            if scored is not None:
                 scored.append((dst, score))
             if best is None or score > best[1]:
                 best = (dst, score)
-        if best is not None and cfg.min_gain > 0:
-            stay = self._stay_score(req.src)
-            if stay is not None and best[1] < stay + cfg.min_gain:
-                best, reason = None, "insufficient-gain"
-        if collect:
-            return best, scored, reason
-        return best, reason
+        return best
 
     def _defer(self, seq: Optional[int], vm: str, reason: str,
                until: Optional[float] = None) -> None:
@@ -611,12 +594,13 @@ class MigrationPlanner:
             if self._inflight_on(req.src) >= cfg.max_per_host:
                 self._defer(req.seq, req.vm, "source-at-capacity")
                 continue
-            scored: list[tuple[str, float]] = []
-            if tr.enabled:
-                best, scored, reason = self._best_destination(
-                    req, collect=True)
-            else:
-                best, reason = self._best_destination(req)
+            scored: Optional[list] = [] if tr.enabled else None
+            best = self._best_destination(req.vm, req.src, scored=scored)
+            reason = "no-destination"
+            if best is not None and cfg.min_gain > 0:
+                stay = self._stay_score(req.src)
+                if stay is not None and best[1] < stay + cfg.min_gain:
+                    best, reason = None, "insufficient-gain"
             if best is None:
                 self._defer(req.seq, req.vm, reason)
                 continue
@@ -750,22 +734,7 @@ class MigrationPlanner:
             return None
         self._remove_active(plan.vm)  # free its slots while re-scoring
         tried = frozenset(plan.tried) | {plan.dst} | exclude
-        best: Optional[tuple[str, float]] = None
-        demand = self._demand_of(plan.vm, plan.src)
-        for dst in self._candidates():
-            if dst in tried:
-                continue
-            if self._inflight_on(dst) >= self.config.max_per_host:
-                continue
-            if self._inflight_crossing(plan.src, dst) \
-                    >= self.config.max_per_uplink:
-                continue
-            score = self.score_destination(plan.vm, plan.src, dst,
-                                           demand=demand)
-            if score is None:
-                continue
-            if best is None or score > best[1]:
-                best = (dst, score)
+        best = self._best_destination(plan.vm, plan.src, exclude=tried)
         if best is None:
             self._add_active(current)  # keep the old slots
             self.log.append(f"replan#{plan.seq} {plan.vm}: no destination")
@@ -798,82 +767,3 @@ class MigrationPlanner:
         # capacity may have returned (UP) or appeared (a dead host's VMs
         # freed memory elsewhere) — either way, re-examine the queue
         self.pump()
-
-    # -- initial placement ----------------------------------------------------
-    def _rack_loads(self) -> dict[str, int]:
-        """Live VMs per rack, counted from the world's VM registry.
-
-        Counting through ``world.vms`` (each VM knows its current host)
-        never trips over rack members that are not in ``world.hosts``
-        (VMD donors, client hosts) and does not count terminated VMs as
-        load.
-        """
-        topo = self.topology
-        loads: dict[str, int] = {}
-        for vm in self.world.vms.values():
-            if vm.state is VmState.TERMINATED:
-                continue
-            rack = topo.rack_of(vm.host)
-            if rack is not None:
-                loads[rack] = loads.get(rack, 0) + 1
-        return loads
-
-    def initial_placement(self, memory_demand_bytes: float,
-                          exclude: frozenset = frozenset(),
-                          reserve: bool = False) -> Optional[str]:
-        """Pick the host for a *new* VM: healthy, most free memory, and
-        spread across racks (fewest VMs in the candidate's rack first).
-
-        Applies the same admission terms as migration scoring: in-flight
-        reservations are charged against free memory and the watermark
-        projection rejects hosts the arrival would push over.
-
-        With ``reserve=True`` the chosen host is charged
-        ``memory_demand_bytes`` in the boot-reservation ledger
-        (:meth:`reserve_boot`), so migrations planned before the VM's
-        memory is actually registered cannot overcommit it; the caller
-        must :meth:`release_boot` once the VM is placed (or the boot
-        abandoned).
-
-        Returns None when no placeable host has the demanded headroom.
-        """
-        cfg = self.config
-        topo = self.topology
-        rack_loads = self._rack_loads() if topo is not None else {}
-        best: Optional[tuple[tuple, str]] = None
-        for name in self._candidates():
-            if name in self.exclude_hosts or name in exclude:
-                continue
-            if self.health is not None and not self.health.placeable(name):
-                continue
-            host = self.world.hosts[name]
-            mem = host.memory
-            reserved = self.reserved_on(name) if cfg.reserve_in_flight \
-                else 0.0
-            free = mem.free_bytes() - reserved
-            if free - memory_demand_bytes < cfg.min_headroom_bytes:
-                continue
-            if cfg.project_watermark is not None:
-                usable = mem.usable_bytes()
-                if self._usage_estimate(name, mem) + reserved \
-                        + memory_demand_bytes \
-                        > cfg.project_watermark * usable:
-                    continue
-            rack = topo.rack_of(name) if topo is not None else None
-            rack_load = rack_loads.get(rack, 0) if rack is not None else 0
-            # lexicographic: emptiest rack, then most free, then name
-            key = (rack_load, -free, name)
-            if best is None or key < best[0]:
-                best = (key, name)
-        if best is None:
-            return None
-        if reserve:
-            self.reserve_boot(best[1], memory_demand_bytes)
-        self.log.append(f"place new vm ({memory_demand_bytes:g} B) "
-                        f"-> {best[1]} @{self.world.now:g}s")
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "planner", "place", cat="planner",
-                args={"demand_bytes": float(memory_demand_bytes),
-                      "host": best[1], "reserved": bool(reserve)})
-        return best[1]

@@ -254,23 +254,6 @@ class Topology:
         ra, rb = self._rack_of.get(a), self._rack_of.get(b)
         return ra is not None and ra == rb
 
-    def same_fault_domain(self, a: str, b: str, tier: str = "rack") -> bool:
-        """Both hosts share the named fault domain tier.
-
-        ``tier`` is ``"rack"``, ``"pod"`` or ``"az"``. For pods/AZs,
-        hosts whose racks are not nested under that tier share the one
-        implicit root domain (a flat topology is one pod and one AZ).
-        """
-        if tier == "rack":
-            return self.same_rack(a, b)
-        if self._rack_of.get(a) is None or self._rack_of.get(b) is None:
-            return False
-        if tier == "pod":
-            return self.pod_of(a) == self.pod_of(b)
-        if tier == "az":
-            return self.az_of(a) == self.az_of(b)
-        raise ValueError(f"unknown fault-domain tier: {tier}")
-
     def tier_distance(self, a: str, b: str) -> int:
         """Depth of the deepest domain that *separates* two hosts.
 

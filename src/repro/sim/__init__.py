@@ -1,9 +1,8 @@
 """Discrete-event simulation kernel.
 
 This package provides the simulation substrate used by every other part of
-the reproduction: a deterministic event queue, generator-based processes
-(``yield Timeout(...)`` / ``yield other_process`` in the style of SimPy),
-periodic tasks, the tick engine for rate-based resource models (whose
+the reproduction: a deterministic event queue with callbacks and one-shot
+events, periodic tasks, the tick engine for rate-based resource models (whose
 idle :class:`Parkable` objects leave its active set until woken), and
 seeded RNG streams.
 
@@ -11,13 +10,7 @@ The kernel is deliberately dependency-free and fully deterministic: two runs
 with the same seed produce identical event orderings.
 """
 
-from repro.sim.kernel import (
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-)
+from repro.sim.kernel import Event, Simulator
 from repro.sim.periodic import (
     Arbiter,
     Lane,
@@ -31,14 +24,11 @@ from repro.sim.rng import RngStreams
 __all__ = [
     "Arbiter",
     "Event",
-    "Interrupt",
     "Lane",
     "Parkable",
     "PeriodicTask",
-    "Process",
     "RngStreams",
     "Simulator",
     "TickEngine",
     "TickParticipant",
-    "Timeout",
 ]

@@ -13,8 +13,9 @@ sample:
 * **fault** — the host's health state (DOWN=1, DEGRADED/RECENTLY_FAILED
   in between), when a health tracker is wired.
 
-Weights are configurable; the scalar is clipped to ``[0, 1]`` so a
-single saturated term cannot mask the others' headroom.
+The weights are fixed (memory 0.55, the other three 0.15 each); the
+scalar is clipped to ``[0, 1]`` so a single saturated term cannot mask
+the others' headroom.
 """
 
 from __future__ import annotations
@@ -34,22 +35,20 @@ _HEALTH_PRESSURE = {
     "down": 1.0,
 }
 
+#: weight of each term in the host scalar
+_MEM_WEIGHT = 0.55
+_WRITEBACK_WEIGHT = 0.15
+_NET_WEIGHT = 0.15
+_FAULT_WEIGHT = 0.15
+
 
 @dataclass(frozen=True)
 class PressureConfig:
-    mem_weight: float = 0.55
-    writeback_weight: float = 0.15
-    net_weight: float = 0.15
-    fault_weight: float = 0.15
     interval_s: float = 1.0
 
     def __post_init__(self):
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        for w in (self.mem_weight, self.writeback_weight,
-                  self.net_weight, self.fault_weight):
-            if w < 0:
-                raise ValueError("weights must be non-negative")
 
 
 class PressureIndex:
@@ -108,7 +107,6 @@ class PressureIndex:
     def host_pressure(self, name: str,
                       granted: Optional[dict] = None) -> float:
         """One host's scalar, computed from current state."""
-        cfg = self.config
         mem = self.world.hosts[name].memory
         usable = mem.usable_bytes()
         mem_term = mem.total_resident_bytes() / usable if usable > 0 \
@@ -123,10 +121,10 @@ class PressureIndex:
             state = self.health(name)
             fault_term = _HEALTH_PRESSURE.get(
                 getattr(state, "value", state), 0.0)
-        p = (cfg.mem_weight * mem_term
-             + cfg.writeback_weight * min(wb_term, 1.0)
-             + cfg.net_weight * min(net_term, 1.0)
-             + cfg.fault_weight * fault_term)
+        p = (_MEM_WEIGHT * mem_term
+             + _WRITEBACK_WEIGHT * min(wb_term, 1.0)
+             + _NET_WEIGHT * min(net_term, 1.0)
+             + _FAULT_WEIGHT * fault_term)
         return min(max(p, 0.0), 1.0)
 
     # -- sampling -------------------------------------------------------------

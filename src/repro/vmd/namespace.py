@@ -78,8 +78,6 @@ class VMDNamespace(Parkable):
         self._queues: list[VmdQueue] = []
         #: bytes of this namespace stored per server (placement outcome)
         self._stored: dict[VMDServer, float] = {s: 0.0 for s in servers}
-        #: write plans computed in pre-tick, applied to grants in commit
-        self._write_plans: dict[VmdQueue, dict[VMDServer, float]] = {}
         #: set when a content-losing donor crash destroyed the *only* copy
         #: of part of this namespace (replication == 1): reads can never
         #: complete and the owning VM is unrecoverable
@@ -216,7 +214,6 @@ class VMDNamespace(Parkable):
         if self._needs_compact:
             self._queues = [q for q in self._queues if q.active]
             self._needs_compact = False
-        self._write_plans.clear()
         for q in self._queues:
             if q._demand <= 0:
                 continue
@@ -237,7 +234,6 @@ class VMDNamespace(Parkable):
                               for server, nbytes in plan.items()}
                 else:
                     merged = plan
-                self._write_plans[q] = merged
                 for server, nbytes in merged.items():
                     flow = self._flow_for(q, server)
                     flow.demand = min(nbytes, server.service_bps * dt)

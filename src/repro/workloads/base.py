@@ -30,7 +30,7 @@ seeded; runs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -39,7 +39,6 @@ from repro.mem.manager import HostMemoryManager, VmMemoryBinding
 from repro.metrics.recorder import Recorder
 from repro.net.flow import Flow
 from repro.net.network import Network
-from repro.util import PAGE_SIZE
 from repro.vm.vm import VirtualMachine
 
 __all__ = ["FaultRouter", "PhasePlan", "Workload", "WorkloadParams"]

@@ -1,8 +1,12 @@
 """Small API-contract tests across modules (error paths, accessors)."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import World
 from repro.host import Host
 from repro.mem import SSDSwapDevice
@@ -10,6 +14,18 @@ from repro.net import Network
 from repro.util import GiB, KiB, MiB, PAGE_SIZE
 from repro.vm import VirtualMachine
 from repro.workloads import PhasePlan
+
+
+def test_every_exported_name_resolves():
+    """Each name a ``repro`` module lists in ``__all__`` exists on it (a
+    stale export, e.g. a deleted class still listed, fails here)."""
+    stale = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        mod = importlib.import_module(info.name)
+        stale += [f"{info.name}.{name}"
+                  for name in getattr(mod, "__all__", ())
+                  if not hasattr(mod, name)]
+    assert stale == []
 
 
 def test_constants():

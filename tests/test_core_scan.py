@@ -1,7 +1,6 @@
 """Tests for the PendingScan budgeted bitmap walk."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import PendingScan
@@ -72,17 +71,21 @@ def test_remove_all_exhausts():
     assert s.exhausted()
 
 
-def test_peek_swapped_fraction():
-    swapped = mask(10, [0, 1])
-    s = PendingScan(mask(10, [0, 1, 2, 3]))
-    assert s.peek_swapped_fraction(swapped) == 0.5
+def test_peek_swapped_count():
+    swapped = mask(10, [0, 1, 5])
+    s = PendingScan(mask(10, [0, 1, 2, 3, 5]))
+    assert s.peek_swapped_count(swapped, 4) == 2
+    assert s.peek_swapped_count(swapped, 1) == 1  # only the scan head
+    assert s.peek_swapped_count(swapped, 5) == 3
+    assert s.peek_swapped_count(swapped, 0) == 0
     s.take(2, 2, swapped)
-    assert s.peek_swapped_fraction(swapped) == 0.0
+    assert s.peek_swapped_count(swapped, 2) == 0
+    assert s.peek_swapped_count(swapped, 3) == 1
 
 
 def test_peek_on_empty_scan():
     s = PendingScan(np.zeros(4, dtype=bool))
-    assert s.peek_swapped_fraction(np.zeros(4, dtype=bool)) == 0.0
+    assert s.peek_swapped_count(np.zeros(4, dtype=bool), 8) == 0
 
 
 def test_state_reevaluated_at_take_time():

@@ -200,18 +200,6 @@ def test_invalid_host_memory_config():
         Host("h", 100 * MiB, net, host_os_bytes=200 * MiB)
 
 
-def test_adopt_vm_carries_cgroup_and_backend():
-    net = Network()
-    src = Host("src", 10 * MiB, net, host_os_bytes=1 * MiB)
-    dst = Host("dst", 10 * MiB, net, host_os_bytes=1 * MiB)
-    vm = make_vm()
-    dev = SSDSwapDevice("ssd")
-    binding, _ = place(src, vm, 10, dev=dev)
-    src.remove_vm("vm1")
-    new_binding = dst.adopt_vm(vm, binding)
-    assert vm.host == "dst"
-    assert new_binding.cgroup is binding.cgroup
-    assert new_binding.backend is dev
 
 
 # -- commit-phase accounting -------------------------------------------------

@@ -289,18 +289,14 @@ def test_channel_close_fails_pending_job_events():
     eng.start()
     done = chan.send(1e6, want_event=True)  # far more than can drain
     caught = []
-
-    def waiter():
-        try:
-            yield done
-        except ChannelClosed as exc:
-            caught.append(exc)
-
-    sim.process(waiter())
+    done.add_callback(lambda e: caught.append((sim.now, e.value)))
     sim.call_in(2.5, chan.close)
     sim.run(until=10.0)
     assert done.failed
-    assert len(caught) == 1  # the waiter woke instead of hanging forever
+    # the waiter woke at the close instead of hanging forever
+    assert len(caught) == 1
+    assert caught[0][0] == 2.5
+    assert isinstance(caught[0][1], ChannelClosed)
 
 
 def test_channel_close_fails_job_in_latency_window():

@@ -43,7 +43,7 @@ def two_rack_topology():
 def test_topology_paths_and_fault_domains():
     topo = two_rack_topology()
     assert topo.same_rack("a0", "a1")
-    assert topo.same_fault_domain("a0", "a1")
+    assert topo.tier_distance("a0", "a1") == 0
     assert not topo.same_rack("a0", "b0")
     assert topo.path_links("a0", "a1") == ()
     names = [link.name for link in topo.path_links("a0", "b0")]
@@ -318,25 +318,6 @@ def test_planner_replan_excludes_failed_destination():
     assert planner.active["vm0"] is new
 
 
-def test_initial_placement_spreads_and_avoids_dead_hosts():
-    world = planner_world()
-    schedule = FaultSchedule(
-        [FaultSpec(FaultKind.NIC_DOWN, "b1", at=1.0, duration=50.0)])
-    world.attach_faults(schedule)
-    tracker = HostHealthTracker(world)
-    blind = MigrationPlanner(world, exclude_hosts=("vmdx",))
-    aware = MigrationPlanner(world, health=tracker,
-                             exclude_hosts=("vmdx",))
-    # rack rb is empty (rack ra holds vm0) and b1 has the most free
-    assert blind.initial_placement(8 * MiB) == "b1"
-    world.run(until=1.5)
-    # with b1 dead, aware falls to the freest host in an equally loaded
-    # rack; blind keeps walking into the dead honeypot
-    assert aware.initial_placement(8 * MiB) == "peer"
-    assert blind.initial_placement(8 * MiB) == "b1"
-    assert aware.initial_placement(1e12) is None  # nothing fits
-
-
 # -- VMD donor health filter ----------------------------------------------------
 
 def test_round_robin_skips_unplaceable_donors():
@@ -548,26 +529,18 @@ def test_replan_exclusion_is_cumulative_across_failures():
 
 def test_candidate_cache_invalidates_on_equal_size_host_set_change():
     world = planner_world()
-    planner = MigrationPlanner(world, exclude_hosts=("vmdx",))
-    assert planner.initial_placement(8 * MiB) == "b1"  # cache populated
+    dispatched = []
+    planner = MigrationPlanner(world, dispatch=dispatched.append,
+                               exclude_hosts=("vmdx",))
+    planner.request("vm0", "src")
+    assert dispatched[0].dst == "b1"  # cache populated
+    planner.on_plan_done(dispatched[0], "failed")
     # equal-size change: one host leaves, another arrives
     del world.hosts["b1"]
     world.add_host("c0", 64 * MiB, host_os_bytes=1 * MiB, rack="rb")
     # a stale candidate list would KeyError on the departed b1
-    assert planner.initial_placement(8 * MiB) == "c0"
-
-
-def test_rack_load_counts_vms_on_hosts_outside_world_hosts():
-    """Rack-load used to be counted through ``world.hosts`` members
-    only, silently ignoring VMs on rack members the world does not
-    model (donor-only or client hosts)."""
-    world = planner_world()
-    world.topology.assign("bx", "rb")  # rack member, not a world host
-    world.add_vm("vmx", 8 * MiB, "bx", page_size=4096)
-    planner = MigrationPlanner(world, exclude_hosts=("vmdx",))
-    # rb now carries 2 VMs (vmf + the unmodeled vmx) vs ra's one, so the
-    # spread term must prefer ra's peer despite b1's bigger free memory
-    assert planner.initial_placement(8 * MiB) == "peer"
+    planner.request("vm0", "src")
+    assert dispatched[1].dst == "c0"
 
 
 # -- churn control: reservation, projection, hysteresis, forecast ---------------
@@ -602,11 +575,6 @@ def test_projection_rejects_destination_that_would_cross_watermark():
                                      demand=16 * MiB) is None
     assert planner.score_destination("vm0", "src", "b1",
                                      demand=16 * MiB) is not None
-    # initial placement applies the same projection
-    constrained = MigrationPlanner(
-        world, config=PlannerConfig(project_watermark=0.1),
-        exclude_hosts=("vmdx",))
-    assert constrained.initial_placement(32 * MiB) is None
 
 
 def test_move_cooldown_defers_resheds_of_a_just_landed_vm():
@@ -649,8 +617,7 @@ def test_min_gain_keeps_vm_when_no_destination_is_decisively_better():
 def test_usage_feed_drives_the_pressure_forecast():
     world = planner_world()
     planner = MigrationPlanner(
-        world, config=PlannerConfig(forecast_alpha=1.0,
-                                    forecast_horizon_s=5.0),
+        world, config=PlannerConfig(forecast_alpha=1.0),
         exclude_hosts=("vmdx",))
     world.subscribe_usage(planner.observe_usage)
     samples = []
@@ -725,44 +692,22 @@ def test_boot_reservation_blocks_migration_overcommit():
     planner = MigrationPlanner(world, dispatch=dispatched.append,
                                exclude_hosts=("vmdx",))
     # normally the empty big host b1 wins on headroom
-    assert planner.initial_placement(8 * MiB) == "b1"
+    planner.request("vm0", "src")
+    assert dispatched[0].dst == "b1"
+    planner.on_plan_done(dispatched[0], "failed")
     # a boot claims almost all of b1 (placed, not yet resident)
     planner.reserve_boot("b1", 124 * MiB)
     assert planner.reserved_on("b1") == 124 * MiB
     # migration admission now routes around the pending boot
     planner.request("vm0", "src")
-    assert len(dispatched) == 1
-    assert dispatched[0].dst != "b1"
-    # and so does the next boot placement
-    assert planner.initial_placement(64 * MiB) != "b1"
+    assert len(dispatched) == 2
+    assert dispatched[1].dst != "b1"
+    planner.on_plan_done(dispatched[1], "failed")
     # the boot completing (pages resident) releases the claim exactly
     planner.release_boot("b1", 124 * MiB)
     assert planner.reserved_on("b1") == 0.0
-    assert planner.initial_placement(64 * MiB) == "b1"
-
-
-def test_initial_placement_reserve_charges_the_ledger():
-    world = planner_world()
-    planner = MigrationPlanner(world, exclude_hosts=("vmdx",))
-    host = planner.initial_placement(100 * MiB, reserve=True)
-    assert host == "b1"
-    assert planner.reserved_on("b1") == 100 * MiB
-    # the reservation steers the *next* boot elsewhere
-    assert planner.initial_placement(100 * MiB, reserve=True) is None
-    assert planner.initial_placement(8 * MiB, reserve=True) != "b1"
-    planner.release_boot("b1", 100 * MiB)
-
-
-def test_place_new_vm_reserve_flows_through_control_plane():
-    world = planner_world()
-    world.attach_faults(FaultSchedule())
-    control = ClusterControlPlane(world, exclude_hosts=("vmdx",))
-    host = control.place_new_vm(100 * MiB, reserve=True)
-    assert host == "b1"
-    assert control.planner.reserved_on("b1") == 100 * MiB
-    # unreserved call keeps the legacy advisory behavior
-    assert control.place_new_vm(8 * MiB) is not None
-    assert control.planner.reserved_on("b1") == 100 * MiB
+    planner.request("vm0", "src")
+    assert dispatched[2].dst == "b1"
 
 
 def test_planner_direct_respects_ledger_caps_and_credit():

@@ -126,27 +126,6 @@ def test_tier_distance_scale():
     assert flat.tier_distance("a0", "b0") == 1
 
 
-def test_same_fault_domain_tiers():
-    topo = tiny_tiered()
-    a, b, c, d = "az0p0r0h0", "az0p0r1h0", "az0p1r0h0", "az1p0r0h0"
-    assert topo.same_fault_domain(a, b, tier="pod")
-    assert not topo.same_fault_domain(a, b, tier="rack")
-    assert not topo.same_fault_domain(a, c, tier="pod")
-    assert topo.same_fault_domain(a, c, tier="az")
-    assert not topo.same_fault_domain(a, d, tier="az")
-    assert not topo.same_fault_domain(a, "outsider", tier="az")
-    with pytest.raises(ValueError):
-        topo.same_fault_domain(a, b, tier="galaxy")
-    # flat racks share the implicit root pod and AZ
-    flat = Topology(uplink_bps=1e6)
-    flat.add_rack("ra")
-    flat.add_rack("rb")
-    flat.assign("a0", "ra")
-    flat.assign("b0", "rb")
-    assert flat.same_fault_domain("a0", "b0", tier="pod")
-    assert flat.same_fault_domain("a0", "b0", tier="az")
-
-
 # -- network integration --------------------------------------------------------
 
 def tiered_world():
@@ -306,7 +285,6 @@ def test_domain_spread_validation():
 
 
 def test_planner_spread_scales_with_tier_distance():
-    from repro.cluster.setup import preload_dataset
     from repro.sched import MigrationPlanner
     world = World(dt=0.1, net_bandwidth_bps=10e6)
     topo = Topology.tiered(2, 2, 2, uplink_bps=80e6)
