@@ -16,10 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runners import (  # re-exported for bench modules
-    MIGRATE_AT,
-    TABLE1_WINDOW,
-)
 from repro.experiments import runners
 
 _cache: dict = {}

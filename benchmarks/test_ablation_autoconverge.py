@@ -7,7 +7,7 @@ write-everywhere guest, auto-converge bounds pre-copy's transfer volume
 — at the cost of the guest's throughput — while Agile needs neither.
 """
 
-import pytest
+from functools import partial
 
 from conftest import run_once
 from repro.cluster.scenarios import (
@@ -15,31 +15,20 @@ from repro.cluster.scenarios import (
     make_single_vm_lab,
     scale_params_to_page,
 )
-from repro.core import AgileMigration, PrecopyMigration
+from repro.core import PrecopyMigration
 from repro.util import GiB
 from repro.workloads.kv import ycsb_redis_params
 
 
 def run(technique, auto_converge=False):
     cfg = TestbedConfig(seed=0)
-    lab = make_single_vm_lab(
-        "agile" if technique == "agile" else "pre-copy",
-        5 * GiB, busy=True, config=cfg)
+    lab = make_single_vm_lab(technique, 5 * GiB, busy=True, config=cfg)
+    if auto_converge:
+        lab.engine = partial(PrecopyMigration, auto_converge=True)
     wl = lab.workloads[0]
     wl.params = scale_params_to_page(
         ycsb_redis_params(write_fraction=1.0, write_region_fraction=1.0),
         cfg.page_size)
-    if technique == "pre-copy":
-        def launch():
-            lab.manager = PrecopyMigration(
-                lab.world.sim, lab.world.network, lab.src, lab.dst,
-                lab.migrate_vm, lab.world.recorder,
-                dst_backend=lab.dst_backend_for_migration,
-                config=lab.config.migration, workload=wl,
-                auto_converge=auto_converge)
-            lab.world.engine.add_participant(lab.manager, order=0)
-            lab.manager.start()
-        lab._launch = launch
     lab.run_until_migrated(start=30.0, limit=6000.0)
     tput = lab.world.recorder.series("vm0.throughput")
     r = lab.report

@@ -8,28 +8,14 @@ companion system [22]), which stages pages on the VMD intermediaries at
 full source speed instead of pushing them to the destination.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab
-from repro.core import ScatterGatherMigration
 from repro.util import GiB
 
 
 def source_free_time(technique):
-    lab = make_single_vm_lab(
-        "agile" if technique == "scatter-gather" else technique,
-        10 * GiB, busy=True, config=TestbedConfig(seed=0))
-    if technique == "scatter-gather":
-        def launch():
-            lab.manager = ScatterGatherMigration(
-                lab.world.sim, lab.world.network, lab.src, lab.dst,
-                lab.migrate_vm, lab.world.recorder,
-                config=lab.config.migration,
-                workload=lab.workload_of(lab.migrate_vm))
-            lab.world.engine.add_participant(lab.manager, order=0)
-            lab.manager.start()
-        lab._launch = launch
+    lab = make_single_vm_lab(technique, 10 * GiB, busy=True,
+                             config=TestbedConfig(seed=0))
     lab.run_until_migrated(start=30.0, limit=6000.0)
     r = lab.report
     freed = (r.source_free_time if r.source_free_time is not None

@@ -10,10 +10,10 @@ Paper results: pre-copy completes in 470 s, post-copy in 247 s, Agile in
 215 s respectively. Agile recovers fastest and degrades least.
 """
 
-import numpy as np
 import pytest
 
-from conftest import MIGRATE_AT, pressure_run, run_once
+from conftest import pressure_run, run_once
+from repro.experiments.runners import MIGRATE_AT
 
 PAPER = {
     "pre-copy": {"mig_time": 470.0, "recovery_90": 533.0},

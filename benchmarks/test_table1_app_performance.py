@@ -15,7 +15,8 @@ Agile > post-copy > pre-copy for both workloads.
 
 import pytest
 
-from conftest import TABLE1_WINDOW, pressure_run, run_once
+from conftest import pressure_run, run_once
+from repro.experiments.runners import TABLE1_WINDOW
 
 PAPER = {
     ("kv", "pre-copy"): 7653, ("kv", "post-copy"): 14926,

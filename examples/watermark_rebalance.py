@@ -11,10 +11,13 @@ paper describes but only evaluates piecewise.
 Run:  python examples/watermark_rebalance.py
 """
 
+from functools import partial
+
 from repro.cluster.scenarios import TestbedConfig, make_pressure_scenario
 from repro.core import AgileMigration, WatermarkTrigger, WssTracker
 from repro.core.trigger import WatermarkConfig
 from repro.core.wss import WssTrackerConfig
+from repro.faults import MigrationSupervisor, RetryPolicy
 from repro.util import GiB
 
 CFG = TestbedConfig(seed=5)
@@ -40,7 +43,9 @@ def main() -> None:
             max_reservation_bytes=8 * GiB)
         for vm in lab.vms
     }
-    managers = []
+    supervisor = MigrationSupervisor(world,
+                                     policy=RetryPolicy(max_retries=0))
+    launched = []
 
     def launch_migrations(names):
         print(f"[{world.now:7.1f}s] trigger: migrating {names} "
@@ -48,13 +53,12 @@ def main() -> None:
         for name in names:
             vm = world.vms[name]
             trackers[name].stop()  # hand control to the migration
-            mgr = AgileMigration(world.sim, world.network, src, dst, vm,
-                                 world.recorder, config=CFG.migration,
-                                 workload=lab.workload_of(vm))
-            world.engine.add_participant(mgr, order=0)
-            mgr.start()
-            managers.append(mgr)
-            mgr.done.add_callback(lambda ev: print(
+            final = supervisor.dispatch(partial(
+                AgileMigration, world.sim, world.network, src, dst, vm,
+                world.recorder, config=CFG.migration,
+                workload=lab.workload_of(vm)))
+            launched.append(name)
+            final.add_callback(lambda ev: print(
                 f"[{world.now:7.1f}s] migration of "
                 f"{ev.value.vm_name} done: "
                 f"{ev.value.total_time:.0f}s, "
@@ -79,7 +83,7 @@ def main() -> None:
     print(f"\naggregate tracked WSS at end: {agg.v[-1] / GiB:.1f} GiB "
           f"(host usable: {src.memory.usable_bytes() / GiB:.1f} GiB)")
     print(f"trigger fired {trigger.trigger_count} time(s); "
-          f"{len(managers)} migration(s) launched")
+          f"{len(launched)} migration(s) launched")
     placement = {h: sorted(world.hosts[h].vms) for h in world.hosts}
     print(f"final placement: {placement}")
 

@@ -36,6 +36,7 @@ from repro.clone.replica import CloneReport, ReplicaFetcher
 from repro.cluster.world import WORKLOAD_ORDER
 from repro.core.base import PendingScan
 from repro.core.umem import UmemFaultHandler
+from repro.faults.injector import HOST_LOSS, hosts_hit
 from repro.faults.spec import FaultKind
 from repro.vm.vm import VmState
 
@@ -265,8 +266,7 @@ class CloneManager:
                 PendingScan(owed), parent_binding.pages,
                 parent_binding.backend, report,
                 priority=cfg.demand_priority, tracer=self.tracer,
-                track=f"vm:{name}")
-            umem.metrics = world.metrics
+                track=f"vm:{name}", metrics=world.metrics)
         fetcher = ReplicaFetcher(
             world.sim, world.manager_of(host_name), vm, binding, image,
             overlay, report, cfg, world.engine, umem=umem,
@@ -350,23 +350,11 @@ class CloneManager:
                 f"{c['released']} released")
 
     # -- fault reactions ------------------------------------------------------
-    def _dead_hosts(self, spec) -> set:
-        if spec.kind is FaultKind.HOST_CRASH:
-            return {spec.target}
-        if spec.kind is FaultKind.RACK_CRASH:
-            topo = self.world.topology
-            return {h for h in self.world.hosts
-                    if topo is not None and topo.rack_of(h) == spec.target}
-        if spec.kind is FaultKind.POD_CRASH:
-            topo = self.world.topology
-            return {h for h in self.world.hosts
-                    if topo is not None and topo.pod_of(h) == spec.target}
-        return set()
-
     def _on_fault(self, spec, phase: str) -> None:
         if phase != "inject":
             return
-        dead = self._dead_hosts(spec)
+        dead = (set(hosts_hit(spec, self.world.topology))
+                if spec.kind in HOST_LOSS else set())
         if dead:
             for parent in sorted(self.images):
                 image = self.images[parent]

@@ -20,14 +20,13 @@ dirty granularity is rescaled to real 4 KiB pages via the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from repro.cluster.setup import preload_dataset
 from repro.cluster.world import World
-from repro.core.agile import AgileMigration
+from repro.core import ENGINES
 from repro.core.base import MigrationConfig, MigrationManager
-from repro.core.postcopy import PostcopyMigration
-from repro.core.precopy import PrecopyMigration
+from repro.faults.recovery import MigrationSupervisor, RetryPolicy
 from repro.mem.device import SwapBackend
 from repro.util import GiB, KiB, MiB
 from repro.vm.vm import VirtualMachine
@@ -45,13 +44,7 @@ __all__ = [
     "scale_params_to_page",
 ]
 
-Technique = Literal["pre-copy", "post-copy", "agile"]
-
-_MANAGERS = {
-    "pre-copy": PrecopyMigration,
-    "post-copy": PostcopyMigration,
-    "agile": AgileMigration,
-}
+Technique = Literal["pre-copy", "post-copy", "agile", "scatter-gather"]
 
 
 def scale_params_to_page(params: WorkloadParams,
@@ -105,14 +98,16 @@ class MigrationLab:
     """A wired scenario plus handles for driving the migration."""
 
     world: World
-    technique: Technique
+    #: engine class the migration runs: ``ENGINES[technique]`` from the
+    #: builders; a ``functools.partial`` of one carries engine arguments
+    engine: Callable[..., MigrationManager]
     config: TestbedConfig
     vms: list[VirtualMachine]
     workloads: list
     migrate_vm: VirtualMachine
     dst_backend_for_migration: Optional[SwapBackend]
     manager: Optional[MigrationManager] = None
-    supervisor: Optional[object] = None  # MigrationSupervisor when supervised
+    supervisor: Optional[MigrationSupervisor] = None
     final: Optional[object] = None       # Event with the final attempt report
 
     @property
@@ -130,14 +125,15 @@ class MigrationLab:
         return None
 
     def start_migration_at(self, t: float) -> None:
-        """Schedule the migration of ``migrate_vm`` at simulation time t."""
-        self.world.sim.call_at(t, self._launch)
+        """Schedule the migration of ``migrate_vm`` at simulation time t:
+        one supervised attempt, never retried."""
+        self.start_supervised_migration_at(
+            t, policy=RetryPolicy(max_retries=0))
 
     def manager_factory(self) -> MigrationManager:
         """Build a fresh (unstarted, unregistered) manager for
         ``migrate_vm``; remembered on :attr:`manager`."""
-        cls = _MANAGERS[self.technique]
-        self.manager = cls(
+        self.manager = self.engine(
             self.world.sim, self.world.network, self.src, self.dst,
             self.migrate_vm, self.world.recorder,
             dst_backend=self.dst_backend_for_migration,
@@ -146,26 +142,17 @@ class MigrationLab:
             tracer=self.world.tracer)
         return self.manager
 
-    def _launch(self) -> None:
-        mgr = self.manager_factory()
-        engine = self.world.engine
-        engine.add_participant(mgr, order=0)
-        # leave the tick protocol on completion (see MigrationSupervisor)
-        mgr.done.add_callback(lambda _ev: engine.remove_participant(mgr))
-        mgr.start()
-
     def start_supervised_migration_at(self, t: float, policy=None,
                                       trigger=None, health=None):
-        """Like :meth:`start_migration_at`, but under a
+        """Dispatch the migration at simulation time ``t`` through a
         :class:`~repro.faults.MigrationSupervisor`: aborted attempts are
-        retried with backoff, and fault events (if the world has an
-        injector attached) are routed to the in-flight manager. The
-        final attempt's report lands on :attr:`final`. Pass a
-        :class:`~repro.sched.HostHealthTracker` as ``health`` to park
+        retried with backoff (``policy``), and fault events (if the
+        world has an injector attached) are routed to the in-flight
+        manager. The final attempt's report lands on :attr:`final`. Pass
+        a :class:`~repro.sched.HostHealthTracker` as ``health`` to park
         retries until the destination is back UP instead of blind
         backoff.
         """
-        from repro.faults.recovery import MigrationSupervisor
         self.supervisor = MigrationSupervisor(self.world, policy=policy,
                                               trigger=trigger, health=health)
 
@@ -196,8 +183,9 @@ class MigrationLab:
 def _attach_backends(world: World, technique: Technique,
                      cfg: TestbedConfig, n_vms: int):
     """Swap backends per technique: a shared SSD per host for the
-    baselines, one portable VMD namespace per VM for Agile."""
-    if technique == "agile":
+    baselines, one portable VMD namespace per VM for Agile and
+    scatter-gather."""
+    if technique in ("agile", "scatter-gather"):
         servers = [(f"vmdsrv{k}", cfg.vmd_server_bytes / cfg.vmd_servers)
                    for k in range(cfg.vmd_servers)]
         vmd = world.add_vmd(servers, placement_chunk_bytes=16 * MiB)
@@ -269,7 +257,7 @@ def make_single_vm_lab(technique: Technique, vm_memory_bytes: float,
         wl = IdleWorkload(vm, world.recorder, sim_now=lambda: world.sim.now)
     world.add_workload(wl)
 
-    return MigrationLab(world=world, technique=technique, config=cfg,
+    return MigrationLab(world=world, engine=ENGINES[technique], config=cfg,
                         vms=[vm], workloads=[wl], migrate_vm=vm,
                         dst_backend_for_migration=dst_backend)
 
@@ -341,7 +329,7 @@ def make_pressure_scenario(technique: Technique,
         vms.append(vm)
         workloads.append(wl)
 
-    return MigrationLab(world=world, technique=technique, config=cfg,
+    return MigrationLab(world=world, engine=ENGINES[technique], config=cfg,
                         vms=vms, workloads=workloads, migrate_vm=vms[0],
                         dst_backend_for_migration=dst_backend)
 

@@ -1,6 +1,7 @@
 """Agile live migration — the paper's contribution (§III-§IV).
 
-One live pre-copy round walks the whole address space, but:
+Agile is one live pre-copy round followed by post-copy's push. The
+round walks the whole address space, but:
 
 * resident pages are sent in full (like pre-copy round 1);
 * swapped pages are **not** transferred — only their swap offset goes to
@@ -10,17 +11,18 @@ One live pre-copy round walks the whole address space, but:
 
 After the single round, the CPU state and the dirty bitmap move, the VM
 resumes at the destination, and the pages dirtied during the round are
-actively pushed / demand-paged exactly like post-copy. The per-VM swap
-device stays attached to the destination, so no residual state remains
-at the source once the push drains.
+actively pushed / demand-paged by the post-copy machinery this engine
+inherits from :class:`~repro.core.postcopy.PostcopyMigration`. The
+per-VM swap device stays attached to the destination, so no residual
+state remains at the source once the push drains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import MigrationManager, MigrationPhase, PendingScan
-from repro.core.umem import UmemFaultHandler
+from repro.core.base import MigrationPhase, PendingScan
+from repro.core.postcopy import PostcopyMigration
 
 __all__ = ["AgileMigration"]
 
@@ -28,8 +30,9 @@ __all__ = ["AgileMigration"]
 SWAP_OFFSET_MSG_BYTES = 16
 
 
-class AgileMigration(MigrationManager):
-    """Hybrid pre/post-copy that never moves cold pages.
+class AgileMigration(PostcopyMigration):
+    """Post-copy with one live round in front that never moves cold
+    pages.
 
     The destination swap backend defaults to the source binding's backend
     — which for Agile must be the VM's portable VMD namespace, making the
@@ -39,35 +42,18 @@ class AgileMigration(MigrationManager):
     technique = "agile"
 
     def start(self) -> None:
-        if self.phase is not MigrationPhase.IDLE:
-            raise RuntimeError("migration already started")
-        self._begin()
-        self.vm.migrating = True
-        pages = self.src_pages
-        allocated = pages.present | pages.swapped
-        pages.dirty[:] = False
-        self.scan = PendingScan(allocated)
-        self._finish_sent = False
-        self.umem: UmemFaultHandler | None = None
+        self._start(self._allocated())
         self.phase = MigrationPhase.LIVE_ROUND
         self.report.rounds = 1
         self._trace_phase("live-round",
                           {"pending_pages": int(self.scan.remaining)})
 
-    # -- tick protocol ---------------------------------------------------------
-    def pre_tick(self, dt: float) -> None:
-        super().pre_tick(dt)
-        # The live round needs no swap reads (cold pages are skipped); the
-        # push phase may need them for pages dirtied-then-evicted.
-        if self.phase is MigrationPhase.PUSH:
-            self._demand_swap_reads(dt)
-
+    # The live round needs no swap reads (cold pages are skipped), so
+    # post-copy's pre_tick (swap reads for the push only) fits as is.
     def commit_tick(self, dt: float) -> None:
         super().commit_tick(dt)
         if self.phase is MigrationPhase.LIVE_ROUND:
             self._live_round_tick()
-        elif self.phase is MigrationPhase.PUSH:
-            self._push_tick()
 
     # -- phase 1: the single live round ----------------------------------------
     def _live_round_tick(self) -> None:
@@ -93,7 +79,7 @@ class AgileMigration(MigrationManager):
                 data_bytes + meta_bytes, info=(res, swp),
                 on_complete=lambda job: self._deliver_round(job.info))
         if self.scan.exhausted():
-            self._enter_handover()
+            self._handover()
 
     def _deliver_round(self, info: tuple[np.ndarray, np.ndarray]) -> None:
         res, swp = info
@@ -105,64 +91,13 @@ class AgileMigration(MigrationManager):
             self.dst_pages.swapped[swp] = True
             self.dst_pages.swap_clean[swp] = True
 
-    def _enter_handover(self) -> None:
-        """Round done: suspend, ship CPU state + dirty bitmap (FIFO behind
-        the in-flight page data), and prepare the push scan."""
-        self._suspend_vm()
-        self.phase = MigrationPhase.STOPCOPY
+    # -- phase 2: post-copy's handover and push ----------------------------------
+    def _handover_payload(self) -> tuple[float, dict]:
+        """CPU state plus the dirty bitmap; the push walks the pages
+        dirtied during the round."""
         pages = self.src_pages
-        dirty = pages.dirty & (pages.present | pages.swapped)
+        dirty = pages.dirty & self._allocated()
         pages.dirty[:] = False
         self.scan = PendingScan(dirty)
-        self._trace_phase("handover",
-                          {"dirty_pages": int(self.scan.remaining)})
-        self.umem = UmemFaultHandler(
-            self.network, self.src.name, self.dst.name, self.vm.name,
-            self.scan, pages, self.src_binding.backend, self.report,
-            priority=self.config.demand_priority,
-            tracer=self.tracer, track=self._track)
-        self.umem.metrics = self.metrics
-        bitmap_bytes = pages.n_pages / 8.0
-        self.report.metadata_bytes += self.vm.cpu_state_bytes + bitmap_bytes
-        self.stream.send(self.vm.cpu_state_bytes + bitmap_bytes,
-                         on_complete=lambda _job: self._cpu_arrived())
-
-    def _cpu_arrived(self) -> None:
-        self._switch_to_destination()
-        if self.workload is not None:
-            self.workload.fault_router = self.umem
-        self.phase = MigrationPhase.PUSH
-        self._trace_phase("push",
-                          {"remaining_pages": int(self.scan.remaining)})
-
-    # -- phase 2: active push of round-dirtied pages -------------------------------
-    def _push_tick(self) -> None:
-        page = self._page_size()
-        dev_pages = int(self.src_read_q.granted // page)
-        room_pages = self._stream_room_pages()
-        res, swp = self.scan.take(room_pages, dev_pages,
-                                  self.src_pages.swapped)
-        sent = np.concatenate([res, swp])
-        if sent.size:
-            nbytes = float(sent.size) * page
-            self.report.push_bytes += nbytes
-            self.report.pages_sent += int(sent.size)
-            self.stream.send(nbytes, info=sent,
-                             on_complete=lambda job:
-                             self._deliver_to_dst(job.info))
-        if self.scan.exhausted() and not self._finish_sent:
-            # FIFO sentinel: fires only after every queued page delivers.
-            self._finish_sent = True
-            self.stream.send(0.0, on_complete=self._all_delivered)
-
-    def _abort_cleanup(self) -> None:
-        if getattr(self, "umem", None) is not None:
-            self.umem.close()
-
-    def _all_delivered(self, _job) -> None:
-        if self.umem is not None:
-            self.umem.close()
-        # Disconnecting the source from the per-VM swap device happens in
-        # _finish (the source-side queues close); the device itself
-        # remains attached at the destination (§IV-B).
-        self._finish()
+        nbytes = self.vm.cpu_state_bytes + pages.n_pages / 8.0
+        return nbytes, {"dirty_pages": int(self.scan.remaining)}

@@ -1,6 +1,6 @@
 """Shared migration machinery.
 
-All three techniques move page data through the same pipeline:
+All four engines move page data through the same pipeline:
 
 * an ordered **scan** over a pending-page bitmap (:class:`PendingScan`) —
   QEMU's dirty-bitmap walk;
@@ -15,17 +15,23 @@ All three techniques move page data through the same pipeline:
   destination host so that incoming pages are subject to the
   destination's own memory pressure.
 
-Subclasses implement the technique-specific phase logic on top.
+:class:`MigrationManager` holds the phase steps the engines share: the
+``start`` preamble (:meth:`~MigrationManager._start`), the take→send→
+deliver step over the scan (:meth:`~MigrationManager._send_pages`) and
+the destination's demand-paging channel
+(:meth:`~MigrationManager._open_umem`). Subclasses implement the
+technique-specific phase logic on top.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.umem import UmemFaultHandler
 from repro.host.host import Host
 from repro.mem.cgroup import Cgroup
 from repro.mem.device import DeviceQueue, SwapBackend
@@ -40,6 +46,8 @@ from repro.vm.vm import VirtualMachine, VmState
 from repro.vmd.namespace import VMDNamespace
 
 __all__ = [
+    "BULK_PRIORITY",
+    "DEMAND_PRIORITY",
     "IncomingImage",
     "MigrationConfig",
     "MigrationManager",
@@ -149,6 +157,12 @@ class MigrationReport:
         return self.end_time - self.start_time
 
 
+#: priority class of bulk migration traffic
+BULK_PRIORITY = 1
+#: priority class of demand-paging traffic (served first)
+DEMAND_PRIORITY = 0
+
+
 @dataclass(frozen=True)
 class MigrationConfig:
     """Knobs common to all techniques."""
@@ -156,10 +170,6 @@ class MigrationConfig:
     #: stream flow-control window (bytes in flight); must comfortably
     #: exceed one tick of NIC throughput or it throttles the stream
     backlog_cap_bytes: float = 64 * 2 ** 20
-    #: priority class of bulk migration traffic
-    bulk_priority: int = 1
-    #: priority class of demand-paging traffic (served first)
-    demand_priority: int = 0
     #: pre-copy: stop when the dirty set is at most this many bytes
     stopcopy_threshold_bytes: float = 32 * 2 ** 20
     #: pre-copy: give up converging after this many live rounds
@@ -437,7 +447,7 @@ class MigrationManager:
         # Bulk transfer stream and source swap-read lane.
         self.stream = StreamChannel(
             sim, network, src.name, dst.name,
-            priority=self.config.bulk_priority,
+            priority=BULK_PRIORITY,
             name=f"mig:{vm.name}", tracer=self.tracer)
         self.src_read_q: DeviceQueue = self.src_binding.backend.open_queue(
             f"{vm.name}.mig.read", "read", host=src.name)
@@ -445,10 +455,29 @@ class MigrationManager:
         self.scan: Optional[PendingScan] = None
         self._suspend_started: Optional[float] = None
         self.done = sim.event(f"mig:{vm.name}:done")
+        #: fires when the manager's tick work ends and the launch path
+        #: may unregister it: with the report (:attr:`done`) for every
+        #: engine but scatter-gather, whose gather outlives the report
+        self.ticks_done = self.done
 
     # -- lifecycle helpers ---------------------------------------------------
     def start(self) -> None:
         raise NotImplementedError
+
+    def _start(self, pending: np.ndarray) -> None:
+        """The ``start`` preamble every engine shares: the migration
+        begins, takes over the VM's dirty bitmap, and its scan walks
+        ``pending``."""
+        if self.phase is not MigrationPhase.IDLE:
+            raise RuntimeError("migration already started")
+        self._begin()
+        self.vm.migrating = True
+        self.src_pages.dirty[:] = False
+        self.scan = PendingScan(pending)
+
+    def _allocated(self) -> np.ndarray:
+        """Pages the VM holds at the source, resident or swapped."""
+        return self.src_pages.present | self.src_pages.swapped
 
     def _begin(self) -> None:
         self.report.start_time = self.sim.now
@@ -677,6 +706,55 @@ class MigrationManager:
                                  self.sim.now, self.report.total_bytes)
 
     # -- shared helpers for the scan pipeline ----------------------------------
+    def _send_pages(self, counter: str, max_pages: Optional[int] = None,
+                    device_pages: int = 0, msg_bytes: Optional[int] = None,
+                    deliver: Optional[Callable[[np.ndarray], None]] = None
+                    ) -> np.ndarray:
+        """The take→send→deliver step: advance the scan in page order,
+        charge the pages' data to ``report.<counter>`` and queue them on
+        the stream; ``deliver`` (default: fault them into the
+        destination image) runs when they land. Returns the pages taken.
+
+        The budgets default to the stream's free backlog and the source
+        swap-read grant. With ``msg_bytes`` the page data goes elsewhere
+        (scatter-gather stages it on the VMD): swapped pages cost no
+        I/O, only resident pages count as data, and the stream carries
+        one ``msg_bytes`` location message per page as metadata.
+        """
+        page = self._page_size()
+        if max_pages is None:
+            device_pages = int(self.src_read_q.granted // page)
+            max_pages = self._stream_room_pages()
+        res, swp = self.scan.take(max_pages, device_pages,
+                                  self.src_pages.swapped,
+                                  free_swapped=msg_bytes is not None)
+        taken = np.concatenate([res, swp])
+        if taken.size:
+            if msg_bytes is None:
+                data_pages = taken.size
+                wire = float(taken.size) * page
+            else:
+                data_pages = res.size
+                wire = taken.size * msg_bytes
+                self.report.metadata_bytes += wire
+            rep = self.report
+            setattr(rep, counter,
+                    getattr(rep, counter) + float(data_pages) * page)
+            rep.pages_sent += int(data_pages)
+            deliver = deliver or self._deliver_to_dst
+            self.stream.send(wire, info=taken,
+                             on_complete=lambda job: deliver(job.info))
+        return taken
+
+    def _open_umem(self) -> UmemFaultHandler:
+        """The destination's demand-paging channel: faults on pages the
+        scan still owes are fetched from the source (§IV-F)."""
+        return UmemFaultHandler(
+            self.network, self.src.name, self.dst.name, self.vm.name,
+            self.scan, self.src_pages, self.src_binding.backend,
+            self.report, priority=DEMAND_PRIORITY, tracer=self.tracer,
+            track=self._track, metrics=self.metrics)
+
     def _stream_room_pages(self) -> int:
         return int(max(0.0, self.config.backlog_cap_bytes
                        - self.stream.backlog) // self._page_size())

@@ -8,13 +8,17 @@ the source **actively pushes** all pages in order, and the destination
 once. Pages swapped out at the source must still be swapped in before
 they can be pushed or served, so the total migration time remains
 coupled to the source swap device (Figure 7's busy-VM cliff).
+
+The handover → push half is shared: Agile
+(:class:`~repro.core.agile.AgileMigration`) is this engine with one live
+round in front.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Optional
 
-from repro.core.base import MigrationManager, MigrationPhase, PendingScan
+from repro.core.base import MigrationManager, MigrationPhase
 from repro.core.umem import UmemFaultHandler
 
 __all__ = ["PostcopyMigration"]
@@ -29,32 +33,32 @@ class PostcopyMigration(MigrationManager):
 
     technique = "post-copy"
 
+    umem: Optional[UmemFaultHandler] = None
+
     def start(self) -> None:
-        if self.phase is not MigrationPhase.IDLE:
-            raise RuntimeError("migration already started")
-        self._begin()
-        self.vm.migrating = True
-        pages = self.src_pages
-        allocated = pages.present | pages.swapped
-        pages.dirty[:] = False
-        self.scan = PendingScan(allocated)
-        self._finish_sent = False
-        self.umem = UmemFaultHandler(
-            self.network, self.src.name, self.dst.name, self.vm.name,
-            self.scan, pages, self.src_binding.backend, self.report,
-            priority=self.config.demand_priority,
-            tracer=self.tracer, track=self._track)
-        self.umem.metrics = self.metrics
+        self._start(self._allocated())
         # Suspend now; the VM resumes at the destination as soon as the
         # CPU state lands. Downtime is just this transfer.
+        self._handover()
+
+    # -- handover -> push --------------------------------------------------------
+    def _handover(self) -> None:
+        """Suspend the VM and ship the handover payload (FIFO behind any
+        in-flight page data); the push starts when it lands."""
         self._suspend_vm()
         self.phase = MigrationPhase.STOPCOPY
-        self._trace_phase("handover",
-                          {"cpu_state_bytes": float(
-                              self.vm.cpu_state_bytes)})
-        self.report.metadata_bytes += self.vm.cpu_state_bytes
-        self.stream.send(self.vm.cpu_state_bytes,
-                         on_complete=lambda _job: self._cpu_arrived())
+        nbytes, args = self._handover_payload()
+        self._trace_phase("handover", args)
+        self.umem = self._open_umem()
+        self._finish_sent = False
+        self.report.metadata_bytes += nbytes
+        self.stream.send(nbytes, on_complete=lambda _job: self._cpu_arrived())
+
+    def _handover_payload(self) -> tuple[float, dict]:
+        """Bytes of the handover message and its trace args: the CPU
+        state alone; the push walks every allocated page."""
+        cpu = self.vm.cpu_state_bytes
+        return cpu, {"cpu_state_bytes": float(cpu)}
 
     def _cpu_arrived(self) -> None:
         self._switch_to_destination()
@@ -72,30 +76,18 @@ class PostcopyMigration(MigrationManager):
 
     def commit_tick(self, dt: float) -> None:
         super().commit_tick(dt)
-        if self.phase is not MigrationPhase.PUSH:
-            return
-        page = self._page_size()
-        dev_pages = int(self.src_read_q.granted // page)
-        room_pages = self._stream_room_pages()
-        res, swp = self.scan.take(room_pages, dev_pages,
-                                  self.src_pages.swapped)
-        sent = np.concatenate([res, swp])
-        if sent.size:
-            nbytes = float(sent.size) * page
-            self.report.push_bytes += nbytes
-            self.report.pages_sent += int(sent.size)
-            self.stream.send(nbytes, info=sent,
-                             on_complete=lambda job:
-                             self._deliver_to_dst(job.info))
-        if self.scan.exhausted() and not self._finish_sent:
-            # FIFO sentinel: fires only after every queued page delivers.
-            self._finish_sent = True
-            self.stream.send(0.0, on_complete=self._all_delivered)
+        if self.phase is MigrationPhase.PUSH:
+            self._send_pages("push_bytes")
+            if self.scan.exhausted() and not self._finish_sent:
+                # FIFO sentinel: fires only after every queued page
+                # delivers.
+                self._finish_sent = True
+                self.stream.send(0.0, on_complete=self._all_delivered)
 
     def _all_delivered(self, _job) -> None:
         self.umem.close()
         self._finish()
 
     def _abort_cleanup(self) -> None:
-        if getattr(self, "umem", None) is not None:
+        if self.umem is not None:
             self.umem.close()

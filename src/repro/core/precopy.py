@@ -14,11 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import (
-    MigrationManager,
-    MigrationPhase,
-    PendingScan,
-)
+from repro.core.base import MigrationManager, MigrationPhase, PendingScan
 
 __all__ = ["PrecopyMigration"]
 
@@ -51,14 +47,7 @@ class PrecopyMigration(MigrationManager):
         self._last_dirty_bytes: float | None = None
 
     def start(self) -> None:
-        if self.phase is not MigrationPhase.IDLE:
-            raise RuntimeError("migration already started")
-        self._begin()
-        self.vm.migrating = True
-        pages = self.src_pages
-        allocated = pages.present | pages.swapped
-        pages.dirty[:] = False  # the dirty bitmap now belongs to migration
-        self.scan = PendingScan(allocated)
+        self._start(self._allocated())
         self.report.rounds = 1
         self.phase = MigrationPhase.LIVE_ROUND
         self._cpu_state_sent = False
@@ -76,27 +65,14 @@ class PrecopyMigration(MigrationManager):
         if self.phase not in (MigrationPhase.LIVE_ROUND,
                               MigrationPhase.STOPCOPY):
             return
-        page = self._page_size()
-        dev_pages = int(self.src_read_q.granted // page)
-        room_pages = self._stream_room_pages()
-        res, swp = self.scan.take(room_pages, dev_pages,
-                                  self.src_pages.swapped)
-        sent = np.concatenate([res, swp])
-        if sent.size:
-            nbytes = float(sent.size) * page
-            # Content is snapshotted at send time: reset the dirty bits so
-            # only *re*-dirtied pages are retransmitted (§IV-E semantics).
-            self.src_pages.clear_dirty(sent)
-            self.report.pages_sent += int(sent.size)
-            if self.phase is MigrationPhase.LIVE_ROUND:
-                self.report.precopy_bytes += nbytes
-            else:
-                self.report.stopcopy_bytes += nbytes
-            self.stream.send(nbytes, info=sent,
-                             on_complete=lambda job:
-                             self._deliver_to_dst(job.info))
+        live = self.phase is MigrationPhase.LIVE_ROUND
+        sent = self._send_pages("precopy_bytes" if live
+                                else "stopcopy_bytes")
+        # Content is snapshotted at send time: reset the dirty bits so
+        # only *re*-dirtied pages are retransmitted (§IV-E semantics).
+        self.src_pages.clear_dirty(sent)
         if self.scan.exhausted():
-            if self.phase is MigrationPhase.LIVE_ROUND:
+            if live:
                 self._end_round()
             elif not self._cpu_state_sent:
                 self._send_cpu_state()
@@ -104,7 +80,7 @@ class PrecopyMigration(MigrationManager):
     # -- phase transitions -----------------------------------------------------------
     def _end_round(self) -> None:
         pages = self.src_pages
-        dirty = pages.dirty & (pages.present | pages.swapped)
+        dirty = pages.dirty & self._allocated()
         dirty_bytes = float(np.count_nonzero(dirty)) * pages.page_size
         converged = dirty_bytes <= self.config.stopcopy_threshold_bytes
         if converged or self.report.rounds >= self.config.max_rounds:

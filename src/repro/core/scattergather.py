@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import MigrationManager, MigrationPhase, PendingScan
+from repro.core.base import MigrationManager, MigrationPhase
 from repro.core.umem import UmemFaultHandler
 from repro.mem.device import DeviceQueue
 from repro.vmd.namespace import VMDNamespace
@@ -66,24 +66,17 @@ class ScatterGatherMigration(MigrationManager):
         self._gathering = False
         #: async span id: the gather outlives the migration span
         self._gather_span = 0
+        # the gather outlives the report too: the manager keeps ticking
+        # until it ends
+        self.ticks_done = self.sim.event(f"mig:{self.vm.name}:gathered")
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        if self.phase is not MigrationPhase.IDLE:
-            raise RuntimeError("migration already started")
-        self._begin()
-        self.vm.migrating = True
-        pages = self.src_pages
-        pages.dirty[:] = False
         # Only resident pages need scattering; cold pages already live on
         # the (portable) per-VM swap device.
-        self.scan = PendingScan(pages.present)
-        self.umem = UmemFaultHandler(
-            self.network, self.src.name, self.dst.name, self.vm.name,
-            self.scan, pages, self.namespace, self.report,
-            priority=self.config.demand_priority,
-            tracer=self.tracer, track=self._track)
-        self.umem.metrics = self.metrics
+        self._start(self.src_pages.present)
+        pages = self.src_pages
+        self.umem = self._open_umem()
         self.scatter_q = self.namespace.open_queue(
             f"{self.vm.name}.scatter", "write", host=self.src.name)
         self._suspend_vm()
@@ -110,6 +103,11 @@ class ScatterGatherMigration(MigrationManager):
             self.tracer.async_end(self._gather_span,
                                   args={"aborted": True})
             self._gather_span = 0
+        self._end_ticks()
+
+    def _end_ticks(self) -> None:
+        if not self.ticks_done.triggered:
+            self.ticks_done.succeed(self.report)
 
     def _cpu_arrived(self) -> None:
         self._switch_to_destination()
@@ -146,21 +144,10 @@ class ScatterGatherMigration(MigrationManager):
 
     # -- scatter (source side) ---------------------------------------------------
     def _scatter_tick(self) -> None:
-        page = self._page_size()
-        k = int(self.scatter_q.granted // page)
-        res, swp = self.scan.take(k, 0, self.src_pages.swapped,
-                                  free_swapped=True)
-        staged = np.concatenate([res, swp])
-        if staged.size:
-            nbytes = float(res.size) * page
-            self.report.scatter_bytes += nbytes
-            self.report.pages_sent += int(res.size)
-            # location messages ride the control stream
-            self.report.metadata_bytes += staged.size * LOCATION_MSG_BYTES
-            self.stream.send(staged.size * LOCATION_MSG_BYTES,
-                             info=staged,
-                             on_complete=lambda job:
-                             self._mark_staged(job.info))
+        k = int(self.scatter_q.granted // self._page_size())
+        # location messages ride the control stream
+        self._send_pages("scatter_bytes", k, msg_bytes=LOCATION_MSG_BYTES,
+                         deliver=self._mark_staged)
         if self.scan.exhausted() and self.report.source_free_time is None:
             self.stream.send(0.0, on_complete=lambda _job:
                              self._source_freed())
@@ -187,6 +174,8 @@ class ScatterGatherMigration(MigrationManager):
                 self._gather_span = self.tracer.async_begin(
                     self._track, "gather", cat="phase",
                     args={"gather_bps": float(self.gather_bps)})
+        else:
+            self._end_ticks()
         if self.umem is not None:
             self.umem.close()
         self._finish()
@@ -217,3 +206,4 @@ class ScatterGatherMigration(MigrationManager):
                     self._gather_span,
                     args={"gather_bytes": float(self.report.gather_bytes)})
                 self._gather_span = 0
+            self._end_ticks()

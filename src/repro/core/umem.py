@@ -19,28 +19,35 @@ is thrashing (§V-C).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.base import MigrationReport, PendingScan
 from repro.mem.device import SwapBackend
 from repro.mem.pages import PageSet
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER
 from repro.telemetry.instruments import NULL_METRICS
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.base import MigrationReport, PendingScan
+
 __all__ = ["UmemFaultHandler"]
 
 
 class UmemFaultHandler:
     """Implements :class:`repro.workloads.FaultRouter` for the post-copy
-    phase of post-copy and Agile migration."""
+    phase of post-copy, Agile and scatter-gather migration, and for a
+    clone replica's fetch of the pages its parent still owes it.
+
+    ``metrics`` is the live-metrics sink (``NULL_METRICS`` when None).
+    """
 
     def __init__(self, network: Network, src_host: str, dst_host: str,
                  vm_name: str, scan: PendingScan, src_pages: PageSet,
                  src_backend: SwapBackend, report: MigrationReport,
-                 priority: int = 0, tracer=None, track: str = ""):
+                 priority: int = 0, tracer=None, track: str = "",
+                 metrics=None):
         self.scan = scan
         self.src_pages = src_pages
         self.report = report
@@ -51,9 +58,7 @@ class UmemFaultHandler:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track or f"vm:{vm_name}"
         self._sigma = 0.0
-        #: live-metrics sink; owners (engines, the clone fetcher)
-        #: re-assign it when the world runs with metrics enabled
-        self.metrics = NULL_METRICS
+        self.metrics = metrics if metrics is not None else NULL_METRICS
 
     # -- FaultRouter protocol ---------------------------------------------------
     def source_pending_mask(self) -> Optional[np.ndarray]:

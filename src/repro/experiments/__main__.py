@@ -44,6 +44,18 @@ from repro.util import MiB
 TECHNIQUES = ["pre-copy", "post-copy", "agile"]
 FIG_TECH = {"fig4": "pre-copy", "fig5": "post-copy", "fig6": "agile"}
 
+#: run -> (the export flags it honours, why it drops the others)
+EXPORTS = {
+    **{exp: (("trace",), "no live metrics")
+       for exp in ("fig4", "fig5", "fig6", "fig9", "fig10")},
+    **{exp: ((), "multi-run sweep")
+       for exp in ("fig7", "fig8", "tab1", "tab2", "tab3")},
+    **{exp: (("trace", "metrics"), "")
+       for exp in ("dc", "churn", "fleet", "flashcrowd", "slo")},
+    **{f"{exp} --ablate": ((), "two-arm ablation")
+       for exp in ("fleet", "flashcrowd", "slo")},
+}
+
 
 def sparkline(series, t1, width=70):
     sub = series.between(0.0, t1).resample(t1 / width)
@@ -381,12 +393,15 @@ def main(argv=None) -> int:
                              "anything else Chrome trace-event JSON "
                              "(load in chrome://tracing or Perfetto). "
                              "Supported by fig4-6, fig9-10, dc, churn, "
-                             "fleet, flashcrowd, slo.")
+                             "and fleet, flashcrowd, slo without "
+                             "--ablate; ignored with a note elsewhere.")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="attach a live metrics registry and export "
                              "it to PATH: Prometheus text for .prom, "
                              "deterministic JSONL otherwise. Supported "
-                             "by dc, churn, fleet, flashcrowd, slo.")
+                             "by dc, churn, and fleet, flashcrowd, slo "
+                             "without --ablate; ignored with a note "
+                             "elsewhere.")
     parser.add_argument("--slo-blind", action="store_true",
                         help="slo: use the default largest-first "
                              "trigger selector instead of the "
@@ -412,10 +427,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     exp = args.experiment
-    if args.trace and exp in ("fig7", "fig8", "tab1", "tab2", "tab3"):
-        print(f"note: --trace is not supported for {exp} "
-              f"(multi-run sweep); ignoring")
-        args.trace = None
+    run = f"{exp} --ablate"
+    if not (args.ablate and run in EXPORTS):
+        run = exp
+    supported, why = EXPORTS[run]
+    for flag in ("trace", "metrics"):
+        if getattr(args, flag) and flag not in supported:
+            print(f"note: --{flag} is not supported for {run} ({why}); "
+                  f"ignoring")
+            setattr(args, flag, None)
     # one tracer and one registry per run, handed to the command that
     # records into them; each export follows the command's report
     tracer = make_tracer(args)

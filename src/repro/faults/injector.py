@@ -22,10 +22,35 @@ from repro.vm.vm import VmState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.world import World
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "HOST_LOSS", "hosts_hit"]
 
 #: subscriber phase strings
 INJECT, REVERT = "inject", "revert"
+
+#: faults that take whole hosts down, with the VMs they run
+HOST_LOSS = (FaultKind.HOST_CRASH, FaultKind.RACK_CRASH, FaultKind.POD_CRASH)
+
+
+def hosts_hit(spec: FaultSpec, topology) -> list[str]:
+    """The blast radius of a fault: the hosts it takes down or cuts off,
+    in topology order. A host fault (or a VMD donor crash) hits its
+    target; a partition hits its members; a rack, pod or AZ fault hits
+    every host of the domain (none without a ``topology``); an SSD
+    fault hits no host."""
+    kind = spec.kind
+    if kind is FaultKind.RACK_CRASH:
+        return [] if topology is None else topology.hosts_in(spec.target)
+    if kind is FaultKind.POD_CRASH:
+        return ([] if topology is None
+                else topology.hosts_in_pod(spec.target))
+    if kind is FaultKind.AZ_PARTITION:
+        return ([] if topology is None
+                else topology.hosts_in_az(spec.target))
+    if kind is FaultKind.PARTITION:
+        return FaultInjector._partition_hosts(spec.target)
+    if kind is FaultKind.SSD_DEGRADED:
+        return []
+    return [spec.target]
 
 
 class FaultInjector:

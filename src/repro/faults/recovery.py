@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.base import MigrationManager, MigrationOutcome
+from repro.faults.injector import HOST_LOSS, hosts_hit
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.sim.kernel import Event
 
@@ -70,7 +71,10 @@ class MigrationSupervisor:
 
     ``factory`` passed to :meth:`dispatch` must build a *fresh* manager
     each call (managers are single-use); the supervisor registers it
-    with the tick engine and starts it. If the world has a fault
+    with the tick engine, starts it, and unregisters it when its tick
+    work ends — the one launch path every migration takes (a
+    :class:`~repro.cluster.scenarios.MigrationLab` dispatches through
+    one with retries off). If the world has a fault
     injector attached, the supervisor subscribes automatically and
     forwards crash events to every in-flight manager. An optional
     :class:`~repro.core.trigger.WatermarkTrigger` is re-armed whenever
@@ -130,10 +134,13 @@ class MigrationSupervisor:
         mgr.report.attempt = attempt
         engine = self.world.engine
         engine.add_participant(mgr, order=0)
-        # A finished engine must leave the tick protocol: at cluster
-        # scale the completed managers otherwise accumulate in the
-        # participant list and every tick pays their no-op phases.
-        mgr.done.add_callback(lambda _ev: engine.remove_participant(mgr))
+        # A manager leaves the tick protocol when its tick work ends: at
+        # cluster scale the finished managers otherwise accumulate in
+        # the participant list and every tick pays their no-op phases.
+        # That is its report's end for every engine but scatter-gather,
+        # whose gather keeps ticking after the source is free.
+        mgr.ticks_done.add_callback(
+            lambda _ev: engine.remove_participant(mgr))
         self._active.append(mgr)
         mgr.done.add_callback(
             lambda ev: self._on_done(mgr, ev.value, factory, attempt, final))
@@ -178,23 +185,13 @@ class MigrationSupervisor:
 
     # -- fault routing --------------------------------------------------------
     def _on_fault(self, spec: FaultSpec, phase: str) -> None:
-        if phase != "inject":
+        # a rack or pod crash is both a host and a VMD donor crash
+        if phase != "inject" or spec.kind not in (*HOST_LOSS,
+                                                  FaultKind.VMD_CRASH):
             return
-        if spec.kind is FaultKind.HOST_CRASH:
+        for host in hosts_hit(spec, self.world.topology):
             for mgr in list(self._active):
-                mgr.on_host_crash(spec.target)
-        elif spec.kind is FaultKind.VMD_CRASH:
-            for mgr in list(self._active):
-                mgr.on_vmd_crash(spec.target)
-        elif spec.kind in (FaultKind.RACK_CRASH, FaultKind.POD_CRASH):
-            topo = getattr(self.world, "topology", None)
-            if topo is None:
-                hosts = []
-            elif spec.kind is FaultKind.RACK_CRASH:
-                hosts = topo.hosts_in(spec.target)
-            else:
-                hosts = topo.hosts_in_pod(spec.target)
-            for host in hosts:
-                for mgr in list(self._active):
+                if spec.kind is not FaultKind.VMD_CRASH:
                     mgr.on_host_crash(host)
+                if spec.kind is not FaultKind.HOST_CRASH:
                     mgr.on_vmd_crash(host)

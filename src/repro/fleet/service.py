@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.setup import preload_dataset
-from repro.faults.spec import FaultKind
+from repro.faults.injector import HOST_LOSS, hosts_hit
 from repro.sim.periodic import PeriodicTask
 from repro.vm.vm import VmState
 
@@ -403,23 +403,11 @@ class FleetScheduler:
             self.planner.request(name, host_name, ignore_cooldown=True)
 
     # -- fault reaction (satellite: crash during drain) -----------------------
-    def _dead_hosts(self, spec) -> set:
-        if spec.kind is FaultKind.HOST_CRASH:
-            return {spec.target}
-        if spec.kind is FaultKind.RACK_CRASH:
-            topo = self.world.topology
-            return {h for h in self.world.hosts
-                    if topo is not None and topo.rack_of(h) == spec.target}
-        if spec.kind is FaultKind.POD_CRASH:
-            topo = self.world.topology
-            return {h for h in self.world.hosts
-                    if topo is not None and topo.pod_of(h) == spec.target}
-        return set()
-
     def _on_fault(self, spec, phase: str) -> None:
         if phase != "inject":
             return
-        dead = self._dead_hosts(spec)
+        dead = (set(hosts_hit(spec, self.world.topology))
+                if spec.kind in HOST_LOSS else set())
         if not dead:
             return
         # fail pending boots targeting the dead hosts back into retry

@@ -16,8 +16,8 @@ single-pair §III-B loop into a cluster service:
 4. when a plan's final attempt ends, its admission slots are released,
    the source's trigger is re-armed, and the queue is pumped again.
 
-The control plane is engine-agnostic: ``technique`` picks pre-copy,
-post-copy, or Agile, and ``dst_backend_of`` supplies per-destination
+The control plane is engine-agnostic: ``technique`` picks any engine in
+:data:`repro.core.ENGINES`, and ``dst_backend_of`` supplies per-destination
 swap backends for the baselines (Agile's portable namespace needs none).
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core import ENGINES
 from repro.core.base import MigrationConfig, MigrationManager
 from repro.core.trigger import WatermarkConfig, WatermarkTrigger
 from repro.faults.recovery import MigrationSupervisor, RetryPolicy
@@ -35,21 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.world import World
 
 __all__ = ["ClusterControlPlane"]
-
-_ENGINES: dict[str, Optional[type]] = {}
-
-
-def _engine(technique: str) -> type:
-    if not _ENGINES:
-        from repro.core.agile import AgileMigration
-        from repro.core.postcopy import PostcopyMigration
-        from repro.core.precopy import PrecopyMigration
-        from repro.core.scattergather import ScatterGatherMigration
-        _ENGINES.update({"pre-copy": PrecopyMigration,
-                         "post-copy": PostcopyMigration,
-                         "agile": AgileMigration,
-                         "scatter-gather": ScatterGatherMigration})
-    return _ENGINES[technique]
 
 
 class ClusterControlPlane:
@@ -167,14 +153,14 @@ class ClusterControlPlane:
         def factory() -> MigrationManager:
             world = self.world
             vm = world.vms[plan.vm]
-            cls = _engine(self.technique)
-            return cls(world.sim, world.network,
-                       world.hosts[plan.src], world.hosts[plan.dst],
-                       vm, world.recorder,
-                       dst_backend=self.dst_backend_of(plan.dst),
-                       config=self.migration_config,
-                       workload=self.workload_of(plan.vm),
-                       tracer=world.tracer, metrics=world.metrics)
+            return ENGINES[self.technique](
+                world.sim, world.network,
+                world.hosts[plan.src], world.hosts[plan.dst],
+                vm, world.recorder,
+                dst_backend=self.dst_backend_of(plan.dst),
+                config=self.migration_config,
+                workload=self.workload_of(plan.vm),
+                tracer=world.tracer, metrics=world.metrics)
         return factory
 
     def _dispatch(self, plan: MigrationPlan) -> None:

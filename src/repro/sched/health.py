@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Callable
 
+from repro.faults.injector import hosts_hit
 from repro.faults.spec import FaultKind, FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,23 +110,6 @@ class HostHealthTracker:
         self._subs.append(fn)
 
     # -- fault folding -------------------------------------------------------
-    def _hosts_of(self, spec: FaultSpec) -> list[str]:
-        if spec.kind is FaultKind.RACK_CRASH:
-            topo = self.world.topology
-            return [] if topo is None else topo.hosts_in(spec.target)
-        if spec.kind is FaultKind.POD_CRASH:
-            topo = self.world.topology
-            return [] if topo is None else topo.hosts_in_pod(spec.target)
-        if spec.kind is FaultKind.AZ_PARTITION:
-            topo = self.world.topology
-            return [] if topo is None else topo.hosts_in_az(spec.target)
-        if spec.kind is FaultKind.PARTITION:
-            from repro.faults.injector import FaultInjector
-            return FaultInjector._partition_hosts(spec.target)
-        if spec.kind is FaultKind.SSD_DEGRADED:
-            return []  # a device fault, not a host fault
-        return [spec.target]
-
     def _on_fault(self, spec: FaultSpec, phase: str) -> None:
         key = (spec.kind.value, spec.target, spec.at)
         if spec.kind in _DOWN_KINDS:
@@ -135,7 +119,7 @@ class HostHealthTracker:
             buckets = self._degraded
         else:
             return
-        for host in self._hosts_of(spec):
+        for host in hosts_hit(spec, self.world.topology):
             old = self.state(host)
             if phase == "inject":
                 buckets.setdefault(host, set()).add(key)

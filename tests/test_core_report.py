@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.base import (
+    BULK_PRIORITY,
+    DEMAND_PRIORITY,
     IncomingImage,
     MigrationConfig,
     MigrationReport,
@@ -29,7 +31,7 @@ def test_report_total_time_requires_end():
 
 def test_config_defaults_sane():
     cfg = MigrationConfig()
-    assert cfg.demand_priority < cfg.bulk_priority
+    assert DEMAND_PRIORITY < BULK_PRIORITY
     assert cfg.backlog_cap_bytes > 0
     assert cfg.max_rounds >= 1
 
@@ -45,7 +47,6 @@ def test_incoming_image_mirrors_vm_geometry():
 
 
 def test_migration_progress_series_recorded():
-    from repro.util import MiB
     from tests.test_migration import make_lab
 
     lab = make_lab("agile", vm_mib=16, reservation_mib=32)

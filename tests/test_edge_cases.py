@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import Network, StreamChannel
 from repro.sim import Simulator, TickEngine
-from repro.util import GiB, KiB, MiB
-from tests.test_migration import make_lab, tiny_cfg
+from repro.util import MiB
+from tests.test_migration import make_lab
 
 
 def test_migrate_vm_with_fully_swapped_memory():

@@ -68,6 +68,43 @@ def test_trace_rejected_for_sweeps(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,ignored", [
+    (["fig6"], ["metrics"]),
+    (["fig10"], ["metrics"]),
+    (["fig7"], ["trace", "metrics"]),
+    (["tab3"], ["trace", "metrics"]),
+    (["fleet", "--ablate"], ["trace", "metrics"]),
+    (["flashcrowd", "--ablate"], ["trace", "metrics"]),
+    (["slo", "--ablate"], ["trace", "metrics"]),
+])
+def test_unsupported_export_flags_are_noted_and_dropped(
+        argv, ignored, tmp_path, capsys, monkeypatch):
+    # the runs themselves are stubbed out: only flag handling matters
+    import repro.experiments.__main__ as cli
+    from repro.obs.tracer import Tracer
+    from repro.telemetry import MetricsRegistry
+    calls = []
+    for name in ("cmd_timeline", "cmd_sweep", "cmd_table", "cmd_wss",
+                 "cmd_fleet", "cmd_flashcrowd", "cmd_slo"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, **kw: calls.append((a, kw)) or 0)
+    paths = {"trace": tmp_path / "t.json", "metrics": tmp_path / "m.jsonl"}
+    assert cli.main([*argv, "--trace", str(paths["trace"]),
+                     "--metrics", str(paths["metrics"])]) == 0
+    out = capsys.readouterr().out
+    run = " ".join(argv)
+    for flag, path in paths.items():
+        noted = f"note: --{flag} is not supported for {run} ("
+        assert (noted in out) == (flag in ignored)
+        if flag in ignored:
+            assert not path.exists()
+    (args, kwargs), = calls
+    live = [v for v in (*args, *kwargs.values())
+            if isinstance(v, (Tracer, MetricsRegistry))]
+    assert [type(v) for v in live] == \
+        ([Tracer] if "trace" not in ignored else [])
+
+
 def test_fleet_quick_trace_chrome(tmp_path, capsys):
     import json
 

@@ -9,6 +9,8 @@ post-copy hydration, a migration failed by ``fail_vm`` and a host
 crash.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -151,18 +153,9 @@ def test_2gib_migration(technique):
 
 
 def test_scatter_gather_migration():
-    lab = small_lab("agile")
+    lab = small_lab("scatter-gather")
     world = lab.world
-
-    def launch():
-        lab.manager = ScatterGatherMigration(
-            world.sim, world.network, lab.src, lab.dst, lab.migrate_vm,
-            world.recorder, config=lab.config.migration,
-            workload=lab.workload_of(lab.migrate_vm), gather_bps=2e6)
-        world.engine.add_participant(lab.manager, order=0)
-        lab.manager.start()
-
-    lab._launch = launch
+    lab.engine = partial(ScatterGatherMigration, gather_bps=2e6)
     audit = CounterAudit(world)
     lab.run_until_migrated(start=1.0, limit=300.0, settle=1.0)
     assert lab.report.source_free_time is not None

@@ -1,6 +1,5 @@
 """Property-based tests for network arbitration invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

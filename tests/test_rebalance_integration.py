@@ -7,16 +7,17 @@ Agile migration relieves the source — the complete system the paper
 describes.
 """
 
-import pytest
+from functools import partial
 
 from repro.cluster.scenarios import (
     TestbedConfig,
     make_pressure_scenario,
 )
 from repro.core import AgileMigration, WatermarkTrigger, WssTracker
+from repro.core.base import MigrationConfig
 from repro.core.trigger import WatermarkConfig
 from repro.core.wss import WssTrackerConfig
-from repro.core.base import MigrationConfig
+from repro.faults import MigrationSupervisor, RetryPolicy
 from repro.util import GiB, MiB
 from repro.workloads import PhasePlan
 
@@ -47,19 +48,20 @@ def test_full_rebalance_loop():
         for vm in lab.vms
     }
 
+    supervisor = MigrationSupervisor(world,
+                                     policy=RetryPolicy(max_retries=0))
     migrated = []
+
+    def agile(vm):
+        migrated.append(AgileMigration(
+            world.sim, world.network, lab.src, lab.dst, vm, world.recorder,
+            config=cfg.migration, workload=lab.workload_of(vm)))
+        return migrated[-1]
 
     def launch(names):
         for name in names:
-            vm = world.vms[name]
             trackers[name].stop()
-            mgr = AgileMigration(world.sim, world.network, lab.src,
-                                 lab.dst, vm, world.recorder,
-                                 config=cfg.migration,
-                                 workload=lab.workload_of(vm))
-            world.engine.add_participant(mgr, order=0)
-            mgr.start()
-            migrated.append(mgr)
+            supervisor.dispatch(partial(agile, world.vms[name]))
 
     trigger = WatermarkTrigger(
         world.sim, usable_bytes=lab.src.memory.usable_bytes(),

@@ -1,12 +1,15 @@
 """Tests for the extension techniques: Scatter-Gather migration and
 pre-copy auto-converge."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab
 from repro.core import PrecopyMigration, ScatterGatherMigration
 from repro.core.base import MigrationConfig
+from repro.faults import MigrationSupervisor, RetryPolicy
 from repro.util import GiB, KiB, MiB
 
 
@@ -25,23 +28,12 @@ def tiny_cfg(seed=0, **overrides):
 
 def sg_lab(busy=False, gather_bps=2e6, vm_mib=32, reservation_mib=16,
            seed=0):
-    lab = make_single_vm_lab("agile", vm_mib * MiB, busy=busy,
+    lab = make_single_vm_lab("scatter-gather", vm_mib * MiB, busy=busy,
                              host_memory_bytes=64 * MiB,
                              reservation_bytes=reservation_mib * MiB,
                              busy_margin_bytes=0.5 * MiB,
                              config=tiny_cfg(seed=seed))
-
-    def launch():
-        lab.manager = ScatterGatherMigration(
-            lab.world.sim, lab.world.network, lab.src, lab.dst,
-            lab.migrate_vm, lab.world.recorder,
-            config=lab.config.migration,
-            workload=lab.workload_of(lab.migrate_vm),
-            gather_bps=gather_bps)
-        lab.world.engine.add_participant(lab.manager, order=0)
-        lab.manager.start()
-
-    lab._launch = launch
+    lab.engine = partial(ScatterGatherMigration, gather_bps=gather_bps)
     return lab
 
 
@@ -91,6 +83,59 @@ def test_no_gather_leaves_cold_pages_on_vmd():
     assert lab.report.gather_bytes == 0.0
 
 
+def gather_run(supervised, reservation_mib):
+    """Scatter-gather a 32 MiB idle VM at t=2 s and run to t=62 s, either
+    through a supervisor or registered with the tick engine directly
+    (the reference: registered for the whole run, as no launch path
+    does). Returns the lab and the manager."""
+    lab = sg_lab(reservation_mib=reservation_mib)
+    world = lab.world
+    made = []
+
+    def factory():
+        made.append(ScatterGatherMigration(
+            world.sim, world.network, lab.src, lab.dst, lab.migrate_vm,
+            world.recorder, config=lab.config.migration, gather_bps=2e6))
+        return made[-1]
+
+    def direct():
+        reference = factory()
+        world.engine.add_participant(reference, order=0)
+        reference.start()
+
+    if supervised:
+        supervisor = MigrationSupervisor(
+            world, policy=RetryPolicy(max_retries=0))
+        world.sim.call_at(2.0, supervisor.dispatch, factory)
+    else:
+        world.sim.call_at(2.0, direct)
+    world.run(until=62.0)
+    return lab, made[0]
+
+
+def test_supervised_scatter_gather_keeps_gathering():
+    """The supervisor unregisters a manager when its tick work ends, not
+    when its report does: scatter-gather's gather runs on after the
+    source is free (and after ``done``)."""
+    # 16 MiB reservation: the gather fills the cgroup and keeps going
+    (sup_lab, sup), (ref_lab, ref) = (gather_run(flag, 16)
+                                      for flag in (True, False))
+    assert ref.report.gather_bytes == pytest.approx(16 * MiB, rel=0.02)
+    assert sup.report.gather_bytes == ref.report.gather_bytes
+    for field in ("present", "swapped", "swap_clean"):
+        assert np.array_equal(getattr(sup_lab.migrate_vm.pages, field),
+                              getattr(ref_lab.migrate_vm.pages, field))
+    assert sup._gathering and not sup.ticks_done.triggered
+    # a reservation that holds the whole VM: the gather ends, its lane
+    # closes and the manager leaves the tick engine
+    lab, sup = gather_run(True, 40)
+    assert lab.migrate_vm.pages.swapped_pages() == 0
+    assert not sup._gathering and not sup.gather_q.active
+    assert sup.ticks_done.triggered
+    with pytest.raises(ValueError):
+        lab.world.engine.remove_participant(sup)
+
+
 def test_busy_vm_demand_faults_during_scatter():
     lab = sg_lab(busy=True, vm_mib=24, reservation_mib=8, gather_bps=2e6)
     lab.run_until_migrated(start=5.0, limit=600.0, settle=10.0)
@@ -136,18 +181,7 @@ def autoconverge_lab(auto, seed=0):
         ycsb_redis_params(write_fraction=1.0, write_region_fraction=1.0),
         4096)
 
-    def launch():
-        lab.manager = PrecopyMigration(
-            lab.world.sim, lab.world.network, lab.src, lab.dst,
-            lab.migrate_vm, lab.world.recorder,
-            dst_backend=lab.dst_backend_for_migration,
-            config=lab.config.migration,
-            workload=lab.workload_of(lab.migrate_vm),
-            auto_converge=auto)
-        lab.world.engine.add_participant(lab.manager, order=0)
-        lab.manager.start()
-
-    lab._launch = launch
+    lab.engine = partial(PrecopyMigration, auto_converge=auto)
     return lab
 
 

@@ -10,7 +10,6 @@ from repro.workloads import (
     KeyValueWorkload,
     OLTPWorkload,
     PhasePlan,
-    WorkloadParams,
     ycsb_redis_params,
 )
 

@@ -7,7 +7,7 @@ from repro.core import WssTracker, WssTrackerConfig, WatermarkTrigger
 from repro.core.trigger import WatermarkConfig, select_vms_to_migrate
 from repro.sim import Simulator
 from repro.util import MiB
-from repro.workloads import KeyValueWorkload, ycsb_redis_params
+from repro.workloads import KeyValueWorkload
 
 
 def build(dataset_mib=8, reservation_mib=24, seed=0, tracker_cfg=None,
