@@ -21,7 +21,7 @@ assertions are exact:
 """
 
 from conftest import run_once
-from repro.experiments.slo import SloScenarioConfig, slo_ablation
+from repro.experiments.slo import WATERMARK, SloScenarioConfig, slo_ablation
 
 _cache: dict = {}
 
@@ -68,7 +68,7 @@ def test_slo_aware_selection_ablation(benchmark, emit):
     # both arms fully relieved the hot host (same low-watermark target)
     cfg = SloScenarioConfig()
     usable = cfg.host_memory_bytes - cfg.host_os_bytes
-    target = cfg.watermark.low_watermark * usable
+    target = WATERMARK.low_watermark * usable
     for arm in (aware, blind):
         host = arm["lab"].world.hosts["r0h0"]
         left = sum(host.memory.binding(n).cgroup.reservation_bytes

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.clone.cow import CowBackend
 from repro.clone.image import CloneImage, ImageSnapshotter
-from repro.clone.replica import CloneReport, ReplicaFetcher
+from repro.clone.replica import DEMAND_PRIORITY, CloneReport, ReplicaFetcher
 from repro.cluster.world import WORKLOAD_ORDER
 from repro.core.base import PendingScan
 from repro.core.umem import UmemFaultHandler
@@ -45,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CloneConfig", "CloneManager", "CloneReplica"]
 
+#: flow priority of the snapshot scatter stream
+SNAPSHOT_PRIORITY = 1
+#: snapshot scatter chunk (backlog cap is 4x this, the scatter idiom)
+SNAPSHOT_CHUNK_BYTES = 4 * 2 ** 20
+
 
 @dataclass(frozen=True)
 class CloneConfig:
@@ -53,35 +58,17 @@ class CloneConfig:
     #: copies of image + overlay bytes on the donors (>= 2 survives a
     #: content-losing donor crash via background re-replication)
     replication: int = 1
-    #: leading fraction of the address space a serving replica needs
-    hot_fraction: float = 0.25
-    #: hot-template residency fraction at which a replica is *serving*
-    serving_fraction: float = 0.9
-    #: per-replica demand fetch budget (hot pages, fault priority)
-    demand_bps: float = 16e6
     #: per-replica background gather budget (cold pages, low priority)
     gather_bps: float = 2e6
     #: fraction of freshly fetched hot pages the replica dirties (CoW)
     dirty_fraction: float = 0.05
-    #: flow priority of demand fetches (0 = fault-critical)
-    demand_priority: int = 0
-    #: flow priority of the snapshot scatter stream
-    snapshot_priority: int = 1
-    #: flow priority of gather prefetch and overlay writeback
-    gather_priority: int = 2
-    #: snapshot scatter chunk (backlog cap is 4x this, the scatter idiom)
-    snapshot_chunk_bytes: float = 4 * 2 ** 20
 
     def __post_init__(self):
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if not 0 < self.hot_fraction <= 1:
-            raise ValueError("hot_fraction must be in (0, 1]")
-        if not 0 < self.serving_fraction <= 1:
-            raise ValueError("serving_fraction must be in (0, 1]")
         if not 0 <= self.dirty_fraction <= 1:
             raise ValueError("dirty_fraction must be in [0, 1]")
-        if self.demand_bps <= 0 or self.gather_bps < 0:
+        if self.gather_bps < 0:
             raise ValueError("bad hydration bandwidth")
 
 
@@ -172,8 +159,8 @@ class CloneManager:
         else:
             snap = ImageSnapshotter(
                 image, vm, binding, world.engine,
-                chunk_bytes=self.config.snapshot_chunk_bytes,
-                priority=self.config.snapshot_priority,
+                chunk_bytes=SNAPSHOT_CHUNK_BYTES,
+                priority=SNAPSHOT_PRIORITY,
                 tracer=self.tracer, on_finish=self._snapshot_finished)
             image.snapshotter = snap
             world.engine.add_participant(snap, order=WORKLOAD_ORDER)
@@ -265,7 +252,7 @@ class CloneManager:
                 world.network, parent_vm.host, host_name, name,
                 PendingScan(owed), parent_binding.pages,
                 parent_binding.backend, report,
-                priority=cfg.demand_priority, tracer=self.tracer,
+                priority=DEMAND_PRIORITY, tracer=self.tracer,
                 track=f"vm:{name}", metrics=world.metrics)
         fetcher = ReplicaFetcher(
             world.sim, world.manager_of(host_name), vm, binding, image,

@@ -13,7 +13,7 @@ hydration:
 
 * **demand** — pulls the hot head of the image (the pages a serving
   process touches first) at fault priority; the replica reports
-  *serving* once ``serving_fraction`` of the hot template is resident;
+  *serving* once ``SERVING_FRACTION`` of the hot template is resident;
 * **gather** — trickles the cold remainder in the background at low
   priority, bounded by reservation headroom (the scatter-gather gather
   idiom);
@@ -41,6 +41,17 @@ import numpy as np
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["CloneReport", "ReplicaFetcher"]
+
+#: leading fraction of the address space a serving replica needs
+HOT_FRACTION = 0.25
+#: hot-template residency fraction at which a replica is *serving*
+SERVING_FRACTION = 0.9
+#: per-replica demand fetch budget (hot pages, fault priority)
+DEMAND_BPS = 16e6
+#: flow priority of demand fetches (0 = fault-critical)
+DEMAND_PRIORITY = 0
+#: flow priority of gather prefetch and overlay writeback
+GATHER_PRIORITY = 2
 
 
 @dataclass
@@ -96,20 +107,20 @@ class ReplicaFetcher:
         self.on_serving = on_serving
         self.on_done = on_done
         page = image.page_size
-        self.n_hot = max(1, int(round(image.n_pages * config.hot_fraction)))
+        self.n_hot = max(1, int(round(image.n_pages * HOT_FRACTION)))
         self.hot_template_bytes = float(
             np.count_nonzero(image.template[:self.n_hot])) * page
         ns = image.namespace
         host = vm.host
         self.demand_q = ns.open_queue(f"{vm.name}.clonedemand", "read",
                                       host=host,
-                                      priority=config.demand_priority)
+                                      priority=DEMAND_PRIORITY)
         self.gather_q = ns.open_queue(f"{vm.name}.clonegather", "read",
                                       host=host,
-                                      priority=config.gather_priority)
+                                      priority=GATHER_PRIORITY)
         self.cow_q = overlay_ns.open_queue(f"{vm.name}.cowwrite", "write",
                                            host=host,
-                                           priority=config.gather_priority)
+                                           priority=GATHER_PRIORITY)
         #: privatized bytes awaiting overlay writeback
         self.cow_backlog = 0.0
         self._dirty_credit = 0.0
@@ -131,7 +142,7 @@ class ReplicaFetcher:
         page = pages.page_size
         cfg = self.cfg
         n_hot = self.n_hot
-        budget = cfg.demand_bps * dt
+        budget = DEMAND_BPS * dt
         hot_missing = float(
             np.count_nonzero(pages.swapped[:n_hot])) * page
         want_vmd = min(budget, hot_missing)
@@ -250,7 +261,7 @@ class ReplicaFetcher:
     def _update_state(self, pages, page) -> None:
         if not self.serving:
             resident_hot = float(pages.resident_in(0, self.n_hot)) * page
-            if resident_hot >= (self.cfg.serving_fraction
+            if resident_hot >= (SERVING_FRACTION
                                 * self.hot_template_bytes) - 1e-9:
                 self.serving = True
                 self.report.serving_time = self.sim.now

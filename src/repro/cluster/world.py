@@ -194,6 +194,16 @@ class World:
         self.vms[name] = vm
         return vm
 
+    def boot_vm(self, name: str, memory_bytes: float,
+                host: str) -> VirtualMachine:
+        """Place a new VM on ``host`` in a cgroup reserving its whole
+        memory, swapping to a fresh per-VM VMD namespace (the portable
+        device Agile migrates with)."""
+        vm = self.add_vm(name, memory_bytes, host)
+        self.hosts[host].place_vm(vm, memory_bytes,
+                                  self.vmd.create_namespace(name))
+        return vm
+
     def terminate_vm(self, name: str) -> None:
         """Kill VM ``name`` where it stands (a crash, lost swap data).
         Every host listing it records the change — past a migration's

@@ -198,7 +198,11 @@ class ScatterGatherMigration(MigrationManager):
                 take = cand[:k]
                 self.dst.memory.fault_in(self.vm.name, take)
                 self.report.gather_bytes += float(take.size) * page
-        if self.vm.pages.swapped_pages() == 0:
+        # done when nothing is left on the device, or when the
+        # destination reservation has no room for another page (the
+        # rest stays there, served by demand faults)
+        if self.vm.pages.swapped_pages() == 0 \
+                or self._gather_room() < page:
             self._gathering = False
             self.gather_q.close()
             if self._gather_span:

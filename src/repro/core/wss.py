@@ -29,6 +29,16 @@ from repro.sim.periodic import PeriodicTask
 
 __all__ = ["WssTracker", "WssTrackerConfig"]
 
+#: adjustment period while converging, and once the WSS is stable
+FAST_INTERVAL_S = 2.0
+SLOW_INTERVAL_S = 30.0
+#: relative band within which ``stable_samples`` reservations count as
+#: stable. The controller inherently oscillates within the α/β band
+#: (~±5 %), so the tolerance must exceed that envelope.
+STABLE_TOLERANCE = 0.15
+#: swap rate (× τ) that re-triggers fast convergence
+REACTIVATE_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class WssTrackerConfig:
@@ -36,15 +46,8 @@ class WssTrackerConfig:
     beta: float = 1.03
     #: swap-rate threshold in bytes/s (paper: 4 KB/s)
     tau_bps: float = 4096.0
-    fast_interval_s: float = 2.0
-    slow_interval_s: float = 30.0
-    #: consecutive samples within tolerance to declare the WSS stable.
-    #: The controller inherently oscillates within the α/β band (~±5 %),
-    #: so the tolerance must exceed that envelope.
+    #: consecutive samples within tolerance to declare the WSS stable
     stable_samples: int = 6
-    stable_tolerance: float = 0.15
-    #: swap rate (× τ) that re-triggers fast convergence
-    reactivate_factor: float = 8.0
     #: never shrink below this floor (bytes)
     min_reservation_bytes: float = 64 * 2 ** 20
 
@@ -78,8 +81,7 @@ class WssTracker:
         self._last_time: Optional[float] = None
         self._recent: list[float] = []
         self._fast = True
-        self._task = PeriodicTask(sim, self.config.fast_interval_s,
-                                  self._adjust)
+        self._task = PeriodicTask(sim, FAST_INTERVAL_S, self._adjust)
         self.enabled = True
 
     # -- control ------------------------------------------------------------
@@ -139,20 +141,20 @@ class WssTracker:
                 self._recent.pop(0)
             if len(self._recent) == cfg.stable_samples:
                 lo, hi = min(self._recent), max(self._recent)
-                if hi - lo <= cfg.stable_tolerance * hi:
+                if hi - lo <= STABLE_TOLERANCE * hi:
                     self._fast = False
                     self._recent.clear()
-                    self._task.set_interval(cfg.slow_interval_s)
+                    self._task.set_interval(SLOW_INTERVAL_S)
                     if self.tracer.enabled:
                         self.tracer.instant(
                             f"vm:{self.vm_name}", "wss-converged",
                             cat="wss",
                             args={"reservation": float(reservation)})
         else:
-            if rate > cfg.reactivate_factor * cfg.tau_bps:
+            if rate > REACTIVATE_FACTOR * cfg.tau_bps:
                 self._fast = True
                 self._recent.clear()
-                self._task.set_interval(cfg.fast_interval_s)
+                self._task.set_interval(FAST_INTERVAL_S)
                 if self.tracer.enabled:
                     self.tracer.instant(
                         f"vm:{self.vm_name}", "wss-reactivate", cat="wss",

@@ -245,7 +245,7 @@ def cmd_flashcrowd(args, tracer=None, metrics=None) -> int:
     """The flash-crowd scale-out scenario, or its clone-vs-fullcopy
     ablation as a CI gate (clones must reach N serving faster)."""
     from repro.experiments.flashcrowd import (
-        FlashCrowdConfig, flashcrowd_ablation, flashcrowd_run,
+        CLUSTER, FlashCrowdConfig, flashcrowd_ablation, flashcrowd_run,
         quick_config)
     seed = args.seed if args.seed is not None else 0
     if args.ablate:
@@ -266,7 +266,7 @@ def cmd_flashcrowd(args, tracer=None, metrics=None) -> int:
         print("  gate ok: clones reached N serving before full copies")
         return 0
     cfg = (quick_config(seed=seed) if args.quick
-           else FlashCrowdConfig(seed=seed))
+           else FlashCrowdConfig(cluster=replace(CLUSTER, seed=seed)))
     if args.provision:
         cfg = replace(cfg, provision=args.provision)
     res = flashcrowd_run(cfg, tracer=tracer, metrics=metrics)

@@ -19,16 +19,26 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.setup import preload_dataset
-from repro.cluster.world import World
 from repro.core.base import MigrationConfig, MigrationOutcome
 from repro.core.trigger import WatermarkConfig
+from repro.experiments.racked import Cluster, build_cluster
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
-from repro.sched import ClusterControlPlane, PlannerConfig, Topology
+from repro.sched import PlannerConfig
 from repro.util import MiB
 from repro.vm.vm import VmState
 
 __all__ = ["DatacenterConfig", "Datacenter", "churn_config", "churn_run",
            "datacenter_run", "honeypot_schedule", "make_datacenter"]
+
+#: overloaded first-rack hosts run this many VMs each
+VMS_PER_HOT_HOST = 2
+#: per-VM move cooldown of the derived planner defaults
+VM_MOVE_COOLDOWN_S = 10.0
+#: the trigger watermarks; every host runs a trigger (not just the hot
+#: rack), so a destination pushed over its watermark alerts too —
+#: required to even *observe* rebalance ping-pong
+WATERMARK = WatermarkConfig(high_watermark=0.7, low_watermark=0.45,
+                            check_interval_s=1.0)
 
 
 def honeypot_schedule() -> FaultSchedule:
@@ -56,10 +66,6 @@ class DatacenterConfig:
 
     n_racks: int = 3
     hosts_per_rack: int = 4
-    #: nest racks into pods (every ``racks_per_pod`` racks share one
-    #: pod) and pods into AZs; 0 keeps the historical flat topology
-    racks_per_pod: int = 0
-    pods_per_az: int = 0
     dt: float = 0.1
     seed: int = 0
     #: host NIC bandwidth (bytes/s)
@@ -74,50 +80,25 @@ class DatacenterConfig:
     vm_memory_bytes: float = 32 * MiB
     #: background VMs parked on every middle-rack host
     filler_vm_bytes: float = 16 * MiB
-    #: overloaded first-rack hosts run this many VMs each
-    vms_per_hot_host: int = 2
     vmd_server_bytes: float = 512 * MiB
-    cooldown_s: float = 30.0
     health_aware: bool = True
-    replan_after_aborts: int = 1
     #: planner knobs; None derives churn-aware defaults (reservation on,
     #: projection at the scenario's high watermark, cooldown, min-gain,
     #: EWMA forecast) — pass an explicit config to ablate them
     planner: Optional[PlannerConfig] = None
-    #: install watermark triggers on every host (not just the hot rack),
-    #: so a destination pushed over its watermark alerts too — required
-    #: to even *observe* rebalance ping-pong
-    trigger_all_hosts: bool = True
-    #: per-VM move cooldown for the derived planner defaults
-    vm_move_cooldown_s: float = 10.0
-    watermark: WatermarkConfig = field(default_factory=lambda: WatermarkConfig(
-        high_watermark=0.7, low_watermark=0.45, check_interval_s=1.0))
     migration: MigrationConfig = field(default_factory=lambda: MigrationConfig(
         backlog_cap_bytes=4 * MiB, stopcopy_threshold_bytes=256 * 2 ** 10))
 
 
 @dataclass
-class Datacenter:
+class Datacenter(Cluster):
     """A wired datacenter plus the control plane driving it."""
 
-    world: World
-    topology: Topology
-    control: ClusterControlPlane
     config: DatacenterConfig
     #: VMs the overloaded hosts will shed (migration candidates)
     hot_vms: list[str]
 
-    def run(self, until: float) -> None:
-        self.world.run(until=until)
-
     # -- outcome distillation ------------------------------------------------
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for report in self.control.supervisor.attempts:
-            key = report.outcome.value if report.outcome else "in-flight"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def failed_or_aborted(self) -> int:
         """Attempts that did not complete (ABORTED, FAILED, or RETRIED —
         a retried attempt *was* an abort)."""
@@ -134,20 +115,12 @@ class Datacenter:
                       if vm.state is VmState.TERMINATED)
 
 
-def _rack_name(i: int) -> str:
-    return f"r{i}"
-
-
-def _host_name(rack: int, j: int) -> str:
-    return f"r{rack}h{j}"
-
-
 def make_datacenter(schedule: Optional[FaultSchedule] = None,
                     config: Optional[DatacenterConfig] = None,
                     tracer=None, metrics=None) -> Datacenter:
     """Wire the rebalance scenario.
 
-    * rack ``r0``: every host is overloaded (``vms_per_hot_host`` VMs
+    * rack ``r0``: every host is overloaded (``VMS_PER_HOT_HOST`` VMs
       whose combined WSS crosses the high watermark) — the shed sources;
     * middle racks (``r1``...): one small filler VM per host — healthy
       destinations with moderate headroom;
@@ -157,72 +130,12 @@ def make_datacenter(schedule: Optional[FaultSchedule] = None,
     * VMD donors live on two out-of-topology hosts so donor capacity
       survives rack crashes (donor loss is exercised in the tests).
 
-    The fault schedule is attached *before* the control plane so the
-    health tracker sees every injection.
+    Every host's watermark trigger counts each resident, non-migrating
+    VM's full reservation (idle-but-committed memory).
     """
     cfg = config or DatacenterConfig()
     if cfg.n_racks < 2:
         raise ValueError("the scenario needs at least two racks")
-    world = World(dt=cfg.dt, seed=cfg.seed,
-                  net_bandwidth_bps=cfg.net_bandwidth_bps, tracer=tracer,
-                  metrics=metrics)
-    topo = Topology(uplink_bps=cfg.uplink_bps)
-    world.use_topology(topo)
-
-    last = cfg.n_racks - 1
-    for i in range(cfg.n_racks):
-        pod = None
-        if cfg.racks_per_pod > 0:
-            p = i // cfg.racks_per_pod
-            pod_name = f"pod{p}"
-            if pod_name not in topo.pods:
-                az = None
-                if cfg.pods_per_az > 0:
-                    az_name = f"az{p // cfg.pods_per_az}"
-                    if az_name not in topo.azs:
-                        topo.add_az(az_name)
-                    az = az_name
-                topo.add_pod(pod_name, az=az)
-            pod = pod_name
-        topo.add_rack(_rack_name(i), pod=pod)
-        mem = (cfg.big_host_memory_bytes if i == last
-               else cfg.host_memory_bytes)
-        for j in range(cfg.hosts_per_rack):
-            world.add_host(_host_name(i, j), mem,
-                           host_os_bytes=cfg.host_os_bytes,
-                           rack=_rack_name(i))
-
-    world.add_vmd([("vmd0", cfg.vmd_server_bytes),
-                   ("vmd1", cfg.vmd_server_bytes)],
-                  placement_chunk_bytes=4 * MiB)
-
-    # VMs: hot rack overloaded, middle racks lightly filled.
-    hot_vms: list[str] = []
-    vm_seq = 0
-
-    def place(host_name: str, nbytes: float, hot: bool) -> None:
-        nonlocal vm_seq
-        name = f"vm{vm_seq}"
-        vm_seq += 1
-        vm = world.add_vm(name, nbytes, host_name, page_size=4096)
-        ns = world.vmd.create_namespace(name)
-        world.hosts[host_name].place_vm(vm, nbytes, ns)
-        preload_dataset(vm, world.manager_of(host_name), nbytes)
-        if hot:
-            hot_vms.append(name)
-
-    for j in range(cfg.hosts_per_rack):
-        for _ in range(cfg.vms_per_hot_host):
-            place(_host_name(0, j), cfg.vm_memory_bytes, hot=True)
-    for i in range(1, last):
-        for j in range(cfg.hosts_per_rack):
-            place(_host_name(i, j), cfg.filler_vm_bytes, hot=False)
-
-    if schedule is not None:
-        world.attach_faults(schedule)
-    else:
-        world.attach_faults(FaultSchedule())
-
     planner_cfg = cfg.planner
     if planner_cfg is None:
         # churn-aware defaults: charge in-flight demand, refuse landings
@@ -230,42 +143,34 @@ def make_datacenter(schedule: Optional[FaultSchedule] = None,
         # re-sheds with cooldown + gain margin + a short EWMA forecast
         planner_cfg = PlannerConfig(
             min_headroom_bytes=2 * MiB,
-            project_watermark=cfg.watermark.high_watermark,
-            move_cooldown_s=cfg.vm_move_cooldown_s,
+            project_watermark=WATERMARK.high_watermark,
+            move_cooldown_s=VM_MOVE_COOLDOWN_S,
             min_gain=0.05,
             forecast_alpha=0.3)
-    control = ClusterControlPlane(
-        world, technique="agile", health_aware=cfg.health_aware,
-        cooldown_s=cfg.cooldown_s,
-        planner_config=planner_cfg,
-        migration_config=cfg.migration,
-        replan_after_aborts=cfg.replan_after_aborts,
-        exclude_hosts=("vmd0", "vmd1"))
+    last = cfg.n_racks - 1
+    cluster = build_cluster(
+        cfg, [cfg.host_memory_bytes] * last + [cfg.big_host_memory_bytes],
+        cfg.hosts_per_rack, 2, schedule, tracer, metrics,
+        health_aware=cfg.health_aware, planner_config=planner_cfg)
+    world = cluster.world
 
-    # Watermark triggers on the hot rack: WSS = full reservation of every
-    # resident, non-migrating VM (idle-but-committed memory).
-    def wss_of_host(host_name: str):
-        def wss() -> dict[str, float]:
-            host = world.hosts[host_name]
-            out: dict[str, float] = {}
-            for name in sorted(host.vms):
-                vm = world.vms[name]
-                if vm.migrating or vm.state is VmState.TERMINATED:
-                    continue
-                out[name] = host.memory.binding(
-                    name).cgroup.reservation_bytes
-            return out
-        return wss
+    # VMs: hot rack overloaded, middle racks lightly filled.
+    hot_vms: list[str] = []
+    for i in range(last):
+        nbytes = cfg.vm_memory_bytes if i == 0 else cfg.filler_vm_bytes
+        for j in range(cfg.hosts_per_rack):
+            for _ in range(VMS_PER_HOT_HOST if i == 0 else 1):
+                host = f"r{i}h{j}"
+                name = f"vm{len(world.vms)}"
+                vm = world.boot_vm(name, nbytes, host)
+                preload_dataset(vm, world.manager_of(host), nbytes)
+                if i == 0:
+                    hot_vms.append(name)
 
-    if cfg.trigger_all_hosts:
-        monitored = sorted(world.hosts)
-    else:
-        monitored = [_host_name(0, j) for j in range(cfg.hosts_per_rack)]
-    for name in monitored:
-        control.add_trigger(name, wss_of_host(name), config=cfg.watermark)
+    for name in sorted(world.hosts):
+        cluster.control.add_trigger(name, config=WATERMARK)
 
-    return Datacenter(world=world, topology=topo, control=control,
-                      config=cfg, hot_vms=hot_vms)
+    return Datacenter(**vars(cluster), config=cfg, hot_vms=hot_vms)
 
 
 def datacenter_run(schedule: Optional[FaultSchedule] = None,

@@ -34,27 +34,22 @@ from typing import Optional
 from repro.clone import CloneConfig, CloneManager
 from repro.cluster.setup import preload_dataset
 from repro.cluster.world import WORKLOAD_ORDER, World
-from repro.core.base import MigrationConfig
+from repro.experiments.racked import (
+    Cluster,
+    RackedConfig,
+    build_racked,
+    fleet_services,
+)
 from repro.faults import FaultSchedule
 from repro.fleet import (
-    AntiAffinityFilter,
-    AvailabilityFilter,
-    CongestionWeigher,
     DemandConfig,
     DemandGenerator,
     FleetHostView,
     FleetScheduler,
     FleetServiceConfig,
-    HeadroomFilter,
-    HeadroomWeigher,
-    HealthFilter,
-    PlacementPipeline,
-    RackSpreadWeigher,
     VmSpec,
-    WatermarkFilter,
 )
 from repro.net.channel import StreamChannel
-from repro.sched import ClusterControlPlane, PlannerConfig, Topology
 from repro.util import MiB
 
 __all__ = ["FlashCrowd", "FlashCrowdConfig", "FullCopyProvisioner",
@@ -62,53 +57,39 @@ __all__ = ["FlashCrowd", "FlashCrowdConfig", "FullCopyProvisioner",
            "quick_config"]
 
 PARENT_NAME = "hotparent"
+#: the flash-crowd tenant, its pre-placed parent VM and where it runs
+HOT_TENANT = "hot"
+PARENT_HOST = "r0h0"
+PARENT_MEMORY_BYTES = 24 * MiB
+#: gap between consecutive replica boot requests of the flash
+REPLICA_STAGGER_S = 0.2
+
+#: the flash crowd's cluster: roomier hosts and donors than the fleet's,
+#: a shorter run, and lighter background churn
+CLUSTER = RackedConfig(
+    host_memory_bytes=96 * MiB, vmd_server_bytes=2048 * MiB, until=30.0,
+    demand=DemandConfig(pattern="bursty", horizon_s=20.0,
+                        base_rate_per_s=0.4, n_tenants=4,
+                        mean_lifetime_s=20.0, min_lifetime_s=6.0))
 
 
 @dataclass(frozen=True)
 class FlashCrowdConfig:
-    """MiB-scale flash crowd: small enough for sub-second CI runs."""
+    """The flash crowd over a racked cluster; MiB scale for sub-second
+    CI runs."""
 
     __test__ = False
 
-    n_racks: int = 3
-    hosts_per_rack: int = 3
-    dt: float = 0.1
-    seed: int = 0
-    net_bandwidth_bps: float = 40e6
-    uplink_bps: float = 60e6
-    host_memory_bytes: float = 96 * MiB
-    host_os_bytes: float = 1 * MiB
-    vmd_server_bytes: float = 2048 * MiB
-    until: float = 30.0
+    #: cluster, background churn (identical in both arms) and run length
+    cluster: RackedConfig = CLUSTER
     #: provisioning arm: ``clone`` or ``fullcopy``
     provision: str = "clone"
-    #: the flash-crowd tenant and its pre-placed parent VM
-    hot_tenant: str = "hot"
-    parent_host: str = "r0h0"
-    parent_memory_bytes: float = 24 * MiB
     #: the flash: N replica boots arriving in a tight stagger
     n_replicas: int = 8
     flash_at: float = 4.0
-    replica_stagger_s: float = 0.2
     #: replicas that must be serving for the time-to-N metric
     serving_target: int = 8
     clone: CloneConfig = field(default_factory=CloneConfig)
-    #: background churn — identical in both arms
-    demand: DemandConfig = field(default_factory=lambda: DemandConfig(
-        pattern="bursty", horizon_s=20.0, base_rate_per_s=0.4,
-        n_tenants=4, mean_lifetime_s=20.0, min_lifetime_s=6.0))
-    service: FleetServiceConfig = field(default_factory=lambda:
-        FleetServiceConfig(boot_delay_s=0.5, clone_tenants=("hot",)))
-    planner: PlannerConfig = field(default_factory=lambda: PlannerConfig(
-        min_headroom_bytes=2 * MiB, max_per_host=2, max_per_uplink=8,
-        move_cooldown_s=6.0, forecast_alpha=0.0))
-    migration: MigrationConfig = field(default_factory=lambda:
-        MigrationConfig(backlog_cap_bytes=4 * MiB,
-                        stopcopy_threshold_bytes=256 * 2 ** 10))
-    min_boot_headroom_bytes: float = 2 * MiB
-    boot_watermark: float = 0.85
-    anti_affinity_max: int = 3
-    health_aware: bool = True
 
     def __post_init__(self):
         if self.provision not in ("clone", "fullcopy"):
@@ -123,8 +104,9 @@ def quick_config(seed: int = 0, **overrides) -> FlashCrowdConfig:
                           base_rate_per_s=0.4, n_tenants=4,
                           mean_lifetime_s=15.0, min_lifetime_s=5.0,
                           seed=seed)
-    return FlashCrowdConfig(seed=seed, until=20.0, n_replicas=6,
-                            serving_target=6, demand=demand, **overrides)
+    return FlashCrowdConfig(
+        cluster=replace(CLUSTER, seed=seed, until=20.0, demand=demand),
+        n_replicas=6, serving_target=6, **overrides)
 
 
 class FullCopyProvisioner:
@@ -138,13 +120,11 @@ class FullCopyProvisioner:
     the replica serves only once the last byte has landed.
     """
 
-    def __init__(self, world: World, parent_host: str, hot_tenant: str,
-                 on_serving=None, tracer=None):
+    def __init__(self, world: World):
         self.world = world
-        self.parent_host = parent_host
-        self.hot_tenant = hot_tenant
-        self.on_serving = on_serving
-        self.tracer = tracer if tracer is not None else world.tracer
+        #: called with the replica's name once its copy has landed
+        self.on_serving = None
+        self.tracer = world.tracer
         #: set after the scheduler exists (its bound default boot)
         self.fallback = None
         self.channels: list[StreamChannel] = []
@@ -152,19 +132,17 @@ class FullCopyProvisioner:
         self.reports: dict[str, dict] = {}
 
     def boot(self, spec: VmSpec, host_name: str) -> None:
-        if spec.tenant != self.hot_tenant:
+        if spec.tenant != HOT_TENANT:
             self.fallback(spec, host_name)
             return
         world = self.world
-        vm = world.add_vm(spec.name, spec.memory_bytes, host_name)
-        ns = world.vmd.create_namespace(spec.name)
-        world.hosts[host_name].place_vm(vm, spec.memory_bytes, ns)
+        world.boot_vm(spec.name, spec.memory_bytes, host_name)
         parent = world.vms[PARENT_NAME]
         binding = world.manager_of(parent.host).binding(PARENT_NAME)
         pages = binding.pages
         copy_bytes = float(pages.present.sum()
                            + pages.swapped.sum()) * pages.page_size
-        chan = StreamChannel(world.sim, world.network, self.parent_host,
+        chan = StreamChannel(world.sim, world.network, PARENT_HOST,
                              host_name, priority=1,
                              name=f"fullcopy:{spec.name}",
                              tracer=self.tracer)
@@ -201,12 +179,9 @@ class FullCopyProvisioner:
 
 
 @dataclass
-class FlashCrowd:
+class FlashCrowd(Cluster):
     """A wired flash-crowd scenario plus its serving bookkeeping."""
 
-    world: World
-    topology: Topology
-    control: ClusterControlPlane
     view: FleetHostView
     scheduler: FleetScheduler
     clone: Optional[CloneManager]
@@ -222,8 +197,7 @@ class FlashCrowd:
     bytes_to_serving: Optional[float] = None
 
     def run(self, until: Optional[float] = None) -> None:
-        self.world.run(until=self.config.until if until is None
-                       else until)
+        super().run(self.config.cluster.until if until is None else until)
 
     def provision_bytes(self) -> float:
         """Bytes the provisioning substrate moved so far."""
@@ -244,16 +218,10 @@ class FlashCrowd:
                 f"@{now:g}s (+{self.time_to_n_serving:g}s)")
 
 
-def _seeded_demand(cfg: FlashCrowdConfig) -> DemandConfig:
-    if cfg.demand.seed == cfg.seed:
-        return cfg.demand
-    return replace(cfg.demand, seed=cfg.seed)
-
-
 def _hot_specs(cfg: FlashCrowdConfig) -> list:
-    return [VmSpec(name=f"hot{i}", tenant=cfg.hot_tenant,
-                   memory_bytes=cfg.parent_memory_bytes, workload="kv",
-                   arrival_s=cfg.flash_at + i * cfg.replica_stagger_s,
+    return [VmSpec(name=f"hot{i}", tenant=HOT_TENANT,
+                   memory_bytes=PARENT_MEMORY_BYTES, workload="kv",
+                   arrival_s=cfg.flash_at + i * REPLICA_STAGGER_S,
                    lifetime_s=None)
             for i in range(cfg.n_replicas)]
 
@@ -268,72 +236,33 @@ def make_flashcrowd(config: Optional[FlashCrowdConfig] = None,
     hot replica's memory reaches its host differs.
     """
     cfg = config or FlashCrowdConfig()
-    world = World(dt=cfg.dt, seed=cfg.seed,
-                  net_bandwidth_bps=cfg.net_bandwidth_bps, tracer=tracer,
-                  metrics=metrics)
-    topo = Topology(uplink_bps=cfg.uplink_bps)
-    world.use_topology(topo)
-    for i in range(cfg.n_racks):
-        topo.add_rack(f"r{i}")
-        for j in range(cfg.hosts_per_rack):
-            world.add_host(f"r{i}h{j}", cfg.host_memory_bytes,
-                           host_os_bytes=cfg.host_os_bytes,
-                           rack=f"r{i}")
-    world.add_vmd([("vmd0", cfg.vmd_server_bytes),
-                   ("vmd1", cfg.vmd_server_bytes)],
-                  placement_chunk_bytes=4 * MiB)
-    world.attach_faults(schedule if schedule is not None
-                        else FaultSchedule())
-
-    control = ClusterControlPlane(
-        world, technique="agile", health_aware=cfg.health_aware,
-        planner_config=cfg.planner, migration_config=cfg.migration,
-        exclude_hosts=("vmd0", "vmd1"))
+    cluster = build_racked(cfg.cluster, schedule, tracer, metrics)
+    world = cluster.world
 
     # the hot parent: pre-placed and preloaded before any demand
-    parent = world.add_vm(PARENT_NAME, cfg.parent_memory_bytes,
-                          cfg.parent_host)
-    parent_ns = world.vmd.create_namespace(PARENT_NAME)
-    world.hosts[cfg.parent_host].place_vm(
-        parent, cfg.parent_memory_bytes, parent_ns)
-    preload_dataset(parent, world.manager_of(cfg.parent_host),
-                    cfg.parent_memory_bytes)
-
-    view = FleetHostView(world, control.planner, health=control.health,
-                         exclude=("vmd0", "vmd1"))
-    pipeline = PlacementPipeline(
-        filters=[AvailabilityFilter(),
-                 HealthFilter(allowed=("UP",)),
-                 HeadroomFilter(cfg.min_boot_headroom_bytes),
-                 WatermarkFilter(cfg.boot_watermark),
-                 AntiAffinityFilter(cfg.anti_affinity_max)],
-        weighers=[HeadroomWeigher(1.0),
-                  RackSpreadWeigher(0.02),
-                  CongestionWeigher(0.1)])
+    parent = world.boot_vm(PARENT_NAME, PARENT_MEMORY_BYTES, PARENT_HOST)
+    preload_dataset(parent, world.manager_of(PARENT_HOST),
+                    PARENT_MEMORY_BYTES)
 
     clone = fullcopy = None
     if cfg.provision == "clone":
         clone = CloneManager(world, config=cfg.clone)
-        scheduler = FleetScheduler(world, control.planner, view, pipeline,
-                                   config=cfg.service, clone=clone)
+        view, scheduler = fleet_services(
+            cluster, config=FleetServiceConfig(clone_tenants=(HOT_TENANT,)),
+            clone=clone)
     else:
-        fullcopy = FullCopyProvisioner(world, cfg.parent_host,
-                                       cfg.hot_tenant, tracer=tracer)
-        scheduler = FleetScheduler(world, control.planner, view, pipeline,
-                                   config=cfg.service,
-                                   boot_fn=fullcopy.boot)
+        fullcopy = FullCopyProvisioner(world)
+        view, scheduler = fleet_services(cluster, boot_fn=fullcopy.boot)
         fullcopy.fallback = scheduler._default_boot
-    scheduler.register_clone_parent(PARENT_NAME, cfg.hot_tenant)
-    view.tenant_of = scheduler.tenant_by_vm.get
+    scheduler.register_clone_parent(PARENT_NAME, HOT_TENANT)
 
     hot = _hot_specs(cfg)
-    background = DemandGenerator(_seeded_demand(cfg)).generate()
+    background = DemandGenerator(cfg.cluster.seeded_demand()).generate()
     scheduler.run_demand(background + hot)
 
-    fc = FlashCrowd(world=world, topology=topo, control=control,
-                    view=view, scheduler=scheduler, clone=clone,
-                    fullcopy=fullcopy, specs=background, hot_specs=hot,
-                    config=cfg)
+    fc = FlashCrowd(**vars(cluster), view=view, scheduler=scheduler,
+                    clone=clone, fullcopy=fullcopy, specs=background,
+                    hot_specs=hot, config=cfg)
     if clone is not None:
         clone.on_serving = fc.note_serving
     else:
@@ -386,7 +315,7 @@ def flashcrowd_ablation(seed: int = 0, quick: bool = False,
     both arms.
     """
     base = config or (quick_config(seed=seed) if quick
-                      else FlashCrowdConfig(seed=seed))
+                      else FlashCrowdConfig(cluster=replace(CLUSTER, seed=seed)))
     arms = {}
     for provision in ("clone", "fullcopy"):
         arms[provision] = flashcrowd_run(replace(base,

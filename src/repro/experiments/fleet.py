@@ -23,28 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.cluster.world import World
-from repro.core.base import MigrationConfig
+from repro.experiments.racked import (
+    Cluster,
+    RackedConfig,
+    build_racked,
+    fleet_services,
+)
 from repro.faults import FaultSchedule
 from repro.fleet import (
-    AntiAffinityFilter,
-    AvailabilityFilter,
-    CongestionWeigher,
     DemandConfig,
     DemandGenerator,
     FleetHostView,
     FleetScheduler,
-    FleetServiceConfig,
-    HeadroomFilter,
-    HeadroomWeigher,
-    HealthFilter,
-    PlacementPipeline,
-    RackSpreadWeigher,
     RebalanceConfig,
     SwapRebalancer,
-    WatermarkFilter,
 )
-from repro.sched import ClusterControlPlane, PlannerConfig, Topology
 from repro.util import MiB
 
 __all__ = ["FleetConfig", "Fleet", "ablation_config", "fleet_ablation",
@@ -52,48 +45,18 @@ __all__ = ["FleetConfig", "Fleet", "ablation_config", "fleet_ablation",
 
 
 @dataclass(frozen=True)
-class FleetConfig:
-    """MiB-scale churn cluster: small enough for sub-second CI runs."""
+class FleetConfig(RackedConfig):
+    """The churn cluster: a :class:`RackedConfig` plus the drain leg and
+    the rebalancer."""
 
-    __test__ = False
-
-    n_racks: int = 3
-    hosts_per_rack: int = 3
-    dt: float = 0.1
-    seed: int = 0
-    net_bandwidth_bps: float = 40e6
-    uplink_bps: float = 60e6
-    host_memory_bytes: float = 56 * MiB
-    host_os_bytes: float = 1 * MiB
-    vmd_server_bytes: float = 1024 * MiB
-    #: simulated duration (the demand horizon plus drain time)
-    until: float = 75.0
     #: rebalance strategy for the single-run scenario
     strategy: str = "swap"
     #: host decommissioned mid-run (None disables the drain leg)
     decommission_host: Optional[str] = "r0h0"
     decommission_at: float = 30.0
-    health_aware: bool = True
-    demand: DemandConfig = field(default_factory=lambda: DemandConfig(
-        pattern="bursty", horizon_s=60.0, base_rate_per_s=0.6,
-        n_tenants=6, mean_lifetime_s=30.0, min_lifetime_s=8.0))
-    service: FleetServiceConfig = field(
-        default_factory=FleetServiceConfig)
     rebalance: RebalanceConfig = field(default_factory=lambda:
         RebalanceConfig(interval_s=2.0, high_watermark=0.8,
                         target_watermark=0.65, max_moves_per_round=4))
-    #: planner knobs; swaps need ``max_per_host >= 2`` (each host in a
-    #: swap is simultaneously a source and a destination)
-    planner: PlannerConfig = field(default_factory=lambda: PlannerConfig(
-        min_headroom_bytes=2 * MiB, max_per_host=2, max_per_uplink=8,
-        move_cooldown_s=6.0, forecast_alpha=0.0))
-    migration: MigrationConfig = field(default_factory=lambda:
-        MigrationConfig(backlog_cap_bytes=4 * MiB,
-                        stopcopy_threshold_bytes=256 * 2 ** 10))
-    #: placement pipeline knobs
-    min_boot_headroom_bytes: float = 2 * MiB
-    boot_watermark: float = 0.85
-    anti_affinity_max: int = 3
 
 
 def quick_config(seed: int = 0, **overrides) -> FleetConfig:
@@ -139,12 +102,9 @@ def ablation_config(seed: int = 0, quick: bool = False) -> FleetConfig:
 
 
 @dataclass
-class Fleet:
+class Fleet(Cluster):
     """A wired fleet scenario plus every service driving it."""
 
-    world: World
-    topology: Topology
-    control: ClusterControlPlane
     view: FleetHostView
     scheduler: FleetScheduler
     rebalancer: SwapRebalancer
@@ -153,8 +113,7 @@ class Fleet:
     config: FleetConfig
 
     def run(self, until: Optional[float] = None) -> None:
-        self.world.run(until=self.config.until if until is None
-                       else until)
+        super().run(self.config.until if until is None else until)
 
     # -- outcome distillation -------------------------------------------------
     def migration_bytes(self) -> float:
@@ -177,13 +136,6 @@ class Fleet:
         return max(per_rack.values()) - min(per_rack.values())
 
 
-def _seeded_demand(cfg: FleetConfig) -> DemandConfig:
-    """The demand config with the scenario seed folded in."""
-    if cfg.demand.seed == cfg.seed:
-        return cfg.demand
-    return replace(cfg.demand, seed=cfg.seed)
-
-
 def make_fleet(config: Optional[FleetConfig] = None,
                schedule: Optional[FaultSchedule] = None,
                tracer=None, metrics=None) -> Fleet:
@@ -194,56 +146,21 @@ def make_fleet(config: Optional[FleetConfig] = None,
     the simulator's event order.
     """
     cfg = config or FleetConfig()
-    world = World(dt=cfg.dt, seed=cfg.seed,
-                  net_bandwidth_bps=cfg.net_bandwidth_bps, tracer=tracer,
-                  metrics=metrics)
-    topo = Topology(uplink_bps=cfg.uplink_bps)
-    world.use_topology(topo)
-    for i in range(cfg.n_racks):
-        topo.add_rack(f"r{i}")
-        for j in range(cfg.hosts_per_rack):
-            world.add_host(f"r{i}h{j}", cfg.host_memory_bytes,
-                           host_os_bytes=cfg.host_os_bytes,
-                           rack=f"r{i}")
-    world.add_vmd([("vmd0", cfg.vmd_server_bytes),
-                   ("vmd1", cfg.vmd_server_bytes)],
-                  placement_chunk_bytes=4 * MiB)
-    world.attach_faults(schedule if schedule is not None
-                        else FaultSchedule())
-
-    control = ClusterControlPlane(
-        world, technique="agile", health_aware=cfg.health_aware,
-        planner_config=cfg.planner, migration_config=cfg.migration,
-        exclude_hosts=("vmd0", "vmd1"))
-
-    view = FleetHostView(world, control.planner, health=control.health,
-                         exclude=("vmd0", "vmd1"))
-    pipeline = PlacementPipeline(
-        filters=[AvailabilityFilter(),
-                 HealthFilter(allowed=("UP",)),
-                 HeadroomFilter(cfg.min_boot_headroom_bytes),
-                 WatermarkFilter(cfg.boot_watermark),
-                 AntiAffinityFilter(cfg.anti_affinity_max)],
-        weighers=[HeadroomWeigher(1.0),
-                  RackSpreadWeigher(0.02),
-                  CongestionWeigher(0.1)])
-    scheduler = FleetScheduler(world, control.planner, view, pipeline,
-                               config=cfg.service)
-    # the view learns tenants from the scheduler's boot bookkeeping
-    view.tenant_of = scheduler.tenant_by_vm.get
+    cluster = build_racked(cfg, schedule, tracer, metrics)
+    world, planner = cluster.world, cluster.control.planner
+    view, scheduler = fleet_services(cluster)
     rebalancer = SwapRebalancer(
-        world, control.planner, view,
+        world, planner, view,
         config=replace(cfg.rebalance, strategy=cfg.strategy))
 
-    specs = DemandGenerator(_seeded_demand(cfg)).generate()
+    specs = DemandGenerator(cfg.seeded_demand()).generate()
     scheduler.run_demand(specs)
     rebalancer.start()
     if cfg.decommission_host is not None:
         world.sim.call_at(cfg.decommission_at, scheduler.decommission,
                           cfg.decommission_host)
-    return Fleet(world=world, topology=topo, control=control, view=view,
-                 scheduler=scheduler, rebalancer=rebalancer,
-                 specs=specs, config=cfg)
+    return Fleet(**vars(cluster), view=view, scheduler=scheduler,
+                 rebalancer=rebalancer, specs=specs, config=cfg)
 
 
 def fleet_run(config: Optional[FleetConfig] = None,

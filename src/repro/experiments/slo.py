@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.setup import preload_dataset
-from repro.cluster.world import World
 from repro.core.base import MigrationConfig
 from repro.core.trigger import WatermarkConfig
-from repro.faults import FaultSchedule
-from repro.sched import ClusterControlPlane, PlannerConfig, Topology
+from repro.experiments.racked import Cluster, build_cluster
+from repro.sched import PlannerConfig
 from repro.telemetry import (
     PressureIndex,
     SloMonitor,
@@ -42,11 +41,25 @@ from repro.telemetry import (
     slo_aware_selector,
 )
 from repro.util import MiB
-from repro.vm.vm import VmState
 from repro.workloads.kv import KeyValueWorkload, ycsb_redis_params
 
 __all__ = ["SloScenarioConfig", "SloLab", "make_slo", "slo_run",
            "slo_ablation"]
+
+#: the serving tenant — largest VM on the hot host, so the blind
+#: largest-first selector picks it
+SERVING_VM_BYTES = 24 * MiB
+SERVING_DATASET_BYTES = 16 * MiB
+#: the two SLO-free batch VMs the aware selector sheds instead
+BATCH_VM_BYTES = 20 * MiB
+#: ops/s floor for the serving tenant — between the worst no-migration
+#: window (~8k ops/s during warm-up; steady state is ~16.7k) and the
+#: migration-degraded window (~4k), so only migration-induced
+#: degradation breaches it
+SLO_MIN_THROUGHPUT = 6000.0
+PROBE_INTERVAL_S = 1.0
+WATERMARK = WatermarkConfig(high_watermark=0.6, low_watermark=0.45,
+                            check_interval_s=1.0)
 
 
 @dataclass(frozen=True)
@@ -61,48 +74,20 @@ class SloScenarioConfig:
     uplink_bps: float = 40e6
     host_memory_bytes: float = 96 * MiB
     host_os_bytes: float = 2 * MiB
-    #: the serving tenant — largest VM on the hot host, so the blind
-    #: largest-first selector picks it
-    serving_vm_bytes: float = 24 * MiB
-    serving_dataset_bytes: float = 16 * MiB
-    #: the two SLO-free batch VMs the aware selector sheds instead
-    batch_vm_bytes: float = 20 * MiB
     vmd_server_bytes: float = 256 * MiB
-    #: ops/s floor for the serving tenant — between the worst
-    #: no-migration window (~8k ops/s during warm-up; steady state is
-    #: ~16.7k) and the migration-degraded window (~4k), so only
-    #: migration-induced degradation breaches it
-    slo_min_throughput: float = 6000.0
-    probe_interval_s: float = 1.0
-    technique: str = "agile"
-    watermark: WatermarkConfig = field(default_factory=lambda: WatermarkConfig(
-        high_watermark=0.6, low_watermark=0.45, check_interval_s=1.0))
     migration: MigrationConfig = field(default_factory=lambda: MigrationConfig(
         backlog_cap_bytes=4 * MiB, stopcopy_threshold_bytes=256 * 2 ** 10))
 
 
 @dataclass
-class SloLab:
+class SloLab(Cluster):
     """A wired SLO scenario plus its probes."""
 
-    world: World
-    topology: Topology
-    control: ClusterControlPlane
     monitor: SloMonitor
     pressure: PressureIndex
     config: SloScenarioConfig
     serving_vm: str
     batch_vms: list[str]
-
-    def run(self, until: float) -> None:
-        self.world.run(until=until)
-
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for report in self.control.supervisor.attempts:
-            key = report.outcome.value if report.outcome else "in-flight"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def migrated_vms(self) -> list[str]:
         return sorted({r.vm_name for r in self.control.supervisor.attempts})
@@ -119,83 +104,47 @@ def make_slo(config: Optional[SloScenarioConfig] = None,
     SLO-aware selector fed by the monitor.
     """
     cfg = config or SloScenarioConfig()
-    world = World(dt=cfg.dt, seed=cfg.seed,
-                  net_bandwidth_bps=cfg.net_bandwidth_bps,
-                  tracer=tracer, metrics=metrics)
-    topo = Topology(uplink_bps=cfg.uplink_bps)
-    world.use_topology(topo)
-    for rack, hosts in (("r0", ("r0h0", "r0h1")),
-                        ("r1", ("r1h0", "r1h1"))):
-        topo.add_rack(rack)
-        for name in hosts:
-            world.add_host(name, cfg.host_memory_bytes,
-                           host_os_bytes=cfg.host_os_bytes, rack=rack)
+    cluster = build_cluster(
+        cfg, [cfg.host_memory_bytes] * 2, 2, 1, tracer=tracer,
+        metrics=metrics,
+        planner_config=PlannerConfig(
+            min_headroom_bytes=2 * MiB,
+            project_watermark=WATERMARK.high_watermark,
+            move_cooldown_s=10.0))
+    world, control = cluster.world, cluster.control
     world.add_client_host()
-    world.add_vmd([("vmd0", cfg.vmd_server_bytes)],
-                  placement_chunk_bytes=4 * MiB)
 
-    def place(name: str, nbytes: float) -> None:
-        vm = world.add_vm(name, nbytes, "r0h0", page_size=4096)
-        ns = world.vmd.create_namespace(name)
-        world.hosts["r0h0"].place_vm(vm, nbytes, ns)
-
-    place("srv0", cfg.serving_vm_bytes)
+    srv = world.boot_vm("srv0", SERVING_VM_BYTES, "r0h0")
     batch = ["b0", "b1"]
     for name in batch:
-        place(name, cfg.batch_vm_bytes)
-        preload_dataset(world.vms[name], world.manager_of("r0h0"),
-                        cfg.batch_vm_bytes)
-
-    srv = world.vms["srv0"]
-    preload_dataset(srv, world.manager_of("r0h0"),
-                    cfg.serving_dataset_bytes,
-                    cold_tail_bytes=cfg.serving_vm_bytes
-                    - cfg.serving_dataset_bytes)
+        vm = world.boot_vm(name, BATCH_VM_BYTES, "r0h0")
+        preload_dataset(vm, world.manager_of("r0h0"), BATCH_VM_BYTES)
+    preload_dataset(srv, world.manager_of("r0h0"), SERVING_DATASET_BYTES,
+                    cold_tail_bytes=SERVING_VM_BYTES
+                    - SERVING_DATASET_BYTES)
     wl = KeyValueWorkload(
         srv, world.network, "client", world.manager_of, world.recorder,
-        world.rng("wl.srv0"), dataset_bytes=cfg.serving_dataset_bytes,
+        world.rng("wl.srv0"), dataset_bytes=SERVING_DATASET_BYTES,
         params=ycsb_redis_params(), cpu_of=world.cpu_of,
         sim_now=lambda: world.sim.now)
     world.add_workload(wl)
-
-    world.attach_faults(FaultSchedule())
-    control = ClusterControlPlane(
-        world, technique=cfg.technique, health_aware=True,
-        planner_config=PlannerConfig(
-            min_headroom_bytes=2 * MiB,
-            project_watermark=cfg.watermark.high_watermark,
-            move_cooldown_s=10.0),
-        migration_config=cfg.migration,
-        workload_of=lambda name: wl if name == "srv0" else None,
-        exclude_hosts=("vmd0",))
+    control.workload_of = {"srv0": wl}.get
 
     monitor = SloMonitor(
-        world, interval_s=cfg.probe_interval_s,
+        world, interval_s=PROBE_INTERVAL_S,
         attempts=lambda: (control.supervisor.in_flight()
                           + control.supervisor.attempts))
-    monitor.attach("srv0", SloSpec(min_throughput=cfg.slo_min_throughput),
+    monitor.attach("srv0", SloSpec(min_throughput=SLO_MIN_THROUGHPUT),
                    workload=wl)
     pressure = PressureIndex(
         world,
         health=control.health.state if control.health else None)
 
-    def wss_of() -> dict[str, float]:
-        host = world.hosts["r0h0"]
-        out: dict[str, float] = {}
-        for name in sorted(host.vms):
-            vm = world.vms[name]
-            if vm.migrating or vm.state is VmState.TERMINATED:
-                continue
-            out[name] = host.memory.binding(name).cgroup.reservation_bytes
-        return out
-
     select = None if blind else slo_aware_selector(monitor)
-    control.add_trigger("r0h0", wss_of, config=cfg.watermark,
-                        select=select)
+    control.add_trigger("r0h0", config=WATERMARK, select=select)
 
-    return SloLab(world=world, topology=topo, control=control,
-                  monitor=monitor, pressure=pressure, config=cfg,
-                  serving_vm="srv0", batch_vms=batch)
+    return SloLab(**vars(cluster), monitor=monitor, pressure=pressure,
+                  config=cfg, serving_vm="srv0", batch_vms=batch)
 
 
 def slo_run(blind: bool = False,

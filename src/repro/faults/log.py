@@ -1,7 +1,7 @@
 """Fault/recovery event log with downtime attribution.
 
-Every injection, reversion, and VM-availability transition is appended to
-one time-ordered list, which the metrics layer exports alongside the
+Every injection, reversion, and VM loss is appended to one time-ordered
+list, which the metrics layer exports alongside the
 usual series (CSV/JSON). Two summary statistics answer the questions the
 survivability matrix asks:
 
@@ -25,8 +25,8 @@ class FaultEvent:
     """One entry in the fault/recovery timeline."""
 
     t: float
-    #: ``inject`` / ``revert`` for faults; ``vm-lost`` / ``vm-restored``
-    #: for availability transitions
+    #: ``inject`` / ``revert`` for faults; ``vm-lost`` when a fault
+    #: kills a VM
     action: str
     kind: str
     target: str
@@ -46,10 +46,8 @@ class FaultLog:
         self._open_faults: dict[tuple[str, str], float] = {}
         #: closed repair intervals: (kind, target, start, end)
         self.repairs: list[tuple[str, str, float, float]] = []
-        #: vm name → time it became unavailable (still open)
+        #: vm name → time it became unavailable (a lost VM stays lost)
         self._open_outages: dict[str, float] = {}
-        #: closed outages: (vm, start, end)
-        self.outages: list[tuple[str, float, float]] = []
 
     # -- fault intervals -----------------------------------------------------
     def record(self, t: float, action: str, kind: str, target: str,
@@ -72,14 +70,6 @@ class FaultLog:
         self._open_outages[vm] = t
         self.events.append(FaultEvent(t, "vm-lost", "vm", vm, detail))
 
-    def mark_vm_available(self, vm: str, t: float, detail: str = "") -> None:
-        """Close ``vm``'s outage interval (no-op if none is open)."""
-        start = self._open_outages.pop(vm, None)
-        if start is None:
-            return
-        self.outages.append((vm, start, t))
-        self.events.append(FaultEvent(t, "vm-restored", "vm", vm, detail))
-
     # -- summary statistics --------------------------------------------------
     def mttr(self) -> Optional[float]:
         """Mean time-to-repair over reverted faults (None if none)."""
@@ -89,12 +79,9 @@ class FaultLog:
                    for _, _, start, end in self.repairs) / len(self.repairs)
 
     def vm_unavailable_seconds(self, until: float) -> float:
-        """Total VM-seconds unavailable, open outages truncated at
-        ``until``."""
-        closed = sum(end - start for _, start, end in self.outages)
-        still_open = sum(max(0.0, until - start)
-                         for start in self._open_outages.values())
-        return closed + still_open
+        """Total VM-seconds unavailable, outages truncated at ``until``."""
+        return sum(max(0.0, until - start)
+                   for start in self._open_outages.values())
 
     def unavailable_vms(self) -> list[str]:
         """VMs currently down, sorted for determinism."""

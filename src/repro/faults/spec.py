@@ -103,12 +103,6 @@ class FaultSpec:
         if not self.target:
             raise ValueError("fault target must be non-empty")
 
-    @property
-    def recovery_at(self) -> Optional[float]:
-        if self.duration is None:
-            return None
-        return self.at + self.duration
-
     def describe(self) -> str:
         parts = [f"{self.kind.value} @{self.at:g}s target={self.target}"]
         if self.duration is not None:

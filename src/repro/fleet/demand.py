@@ -11,7 +11,7 @@ Arrival intensity follows one of three shapes the datacenter literature
 cares about:
 
 * ``bursty`` — a square wave: quiet baseline traffic punctuated by
-  periodic bursts of ``burst_factor``× the base rate (batch jobs,
+  periodic bursts of ``BURST_FACTOR``× the base rate (batch jobs,
   deploy waves);
 * ``diurnal`` — a sinusoidal day/night cycle around the base rate
   (interactive tenants following the sun);
@@ -37,6 +37,21 @@ __all__ = ["DemandConfig", "DemandGenerator", "VmSpec"]
 
 PATTERNS = ("bursty", "diurnal", "flash-crowd")
 MiB = float(2 ** 20)
+
+#: Zipf skew of tenant popularity (1.0 = classic; higher = heavier head)
+TENANT_SKEW = 1.1
+#: probability an arrival is a kv-cache VM (else oltp)
+KV_FRACTION = 0.6
+#: memory-size palettes per workload family (bytes)
+KV_SIZES = (8 * MiB, 12 * MiB, 16 * MiB)
+OLTP_SIZES = (16 * MiB, 24 * MiB, 32 * MiB)
+#: bursty shape: period, fraction of it spent bursting, burst multiplier
+BURST_PERIOD_S = 20.0
+BURST_DUTY = 0.25
+BURST_FACTOR = 4.0
+#: diurnal shape: cycle length and relative swing around the base rate
+DIURNAL_PERIOD_S = 40.0
+DIURNAL_AMPLITUDE = 0.8
 
 
 @dataclass(frozen=True)
@@ -73,24 +88,10 @@ class DemandConfig:
     interval_s: float = 1.0
     #: number of tenants in the Zipf popularity law
     n_tenants: int = 8
-    #: Zipf skew (1.0 = classic; higher = heavier head)
-    tenant_skew: float = 1.1
     #: mean exponential VM lifetime
     mean_lifetime_s: float = 25.0
     #: lifetime floor — nothing departs faster than this
     min_lifetime_s: float = 5.0
-    #: probability an arrival is a kv-cache VM (else oltp)
-    kv_fraction: float = 0.6
-    #: memory-size palettes per workload family (bytes)
-    kv_sizes: tuple = (8 * MiB, 12 * MiB, 16 * MiB)
-    oltp_sizes: tuple = (16 * MiB, 24 * MiB, 32 * MiB)
-    # bursty shape
-    burst_period_s: float = 20.0
-    burst_duty: float = 0.25
-    burst_factor: float = 4.0
-    # diurnal shape
-    diurnal_period_s: float = 40.0
-    diurnal_amplitude: float = 0.8
     # flash-crowd shape
     flash_at: float = 20.0
     flash_duration_s: float = 6.0
@@ -107,8 +108,6 @@ class DemandConfig:
             raise ValueError("base_rate_per_s must be non-negative")
         if self.n_tenants < 1:
             raise ValueError("need at least one tenant")
-        if not 0.0 <= self.kv_fraction <= 1.0:
-            raise ValueError("kv_fraction must be in [0, 1]")
         if self.min_lifetime_s < 0 or self.mean_lifetime_s <= 0:
             raise ValueError("lifetimes must be positive")
 
@@ -125,11 +124,11 @@ class DemandGenerator:
         """The pattern's intensity multiplier at time ``t`` (>= 0)."""
         cfg = self.config
         if cfg.pattern == "bursty":
-            phase = (t % cfg.burst_period_s) / cfg.burst_period_s
-            return cfg.burst_factor if phase < cfg.burst_duty else 1.0
+            phase = (t % BURST_PERIOD_S) / BURST_PERIOD_S
+            return BURST_FACTOR if phase < BURST_DUTY else 1.0
         if cfg.pattern == "diurnal":
-            return 1.0 + cfg.diurnal_amplitude * float(
-                np.sin(2.0 * np.pi * t / cfg.diurnal_period_s))
+            return 1.0 + DIURNAL_AMPLITUDE * float(
+                np.sin(2.0 * np.pi * t / DIURNAL_PERIOD_S))
         # flash-crowd
         if cfg.flash_at <= t < cfg.flash_at + cfg.flash_duration_s:
             return cfg.flash_factor
@@ -146,7 +145,7 @@ class DemandGenerator:
         rng = np.random.default_rng(cfg.seed)
         # tenant popularity: truncated Zipf over n_tenants
         ranks = np.arange(1, cfg.n_tenants + 1, dtype=float)
-        tenant_p = ranks ** -cfg.tenant_skew
+        tenant_p = ranks ** -TENANT_SKEW
         tenant_p /= tenant_p.sum()
         specs: list[VmSpec] = []
         seq = 0
@@ -157,10 +156,10 @@ class DemandGenerator:
             for _ in range(int(rng.poisson(lam))):
                 offset = float(rng.uniform(0.0, dt))
                 tenant = f"t{int(rng.choice(cfg.n_tenants, p=tenant_p))}"
-                if rng.uniform() < cfg.kv_fraction:
-                    workload, sizes = "kv", cfg.kv_sizes
+                if rng.uniform() < KV_FRACTION:
+                    workload, sizes = "kv", KV_SIZES
                 else:
-                    workload, sizes = "oltp", cfg.oltp_sizes
+                    workload, sizes = "oltp", OLTP_SIZES
                 memory = float(sizes[int(rng.integers(len(sizes)))])
                 lifetime = max(cfg.min_lifetime_s,
                                float(rng.exponential(cfg.mean_lifetime_s)))

@@ -242,19 +242,18 @@ class FleetHostView:
     ``tenant_of`` maps a VM name to its tenant (None for VMs the fleet
     does not own — filler VMs, pre-placed scenario fixtures); a VM's
     tenant must be known by the time it is placed, or its host marked
-    changed. ``exclude`` names hosts that are never placement
-    candidates (VMD donor machines, client hosts).
+    changed. Every host of ``world.hosts`` is a candidate (VMD donors
+    and client hosts run no memory manager, so they are not among
+    them).
     """
 
     def __init__(self, world: "World", planner: "MigrationPlanner",
                  health=None,
-                 tenant_of: Optional[Callable[[str], Optional[str]]] = None,
-                 exclude: tuple = ()):
+                 tenant_of: Optional[Callable[[str], Optional[str]]] = None):
         self.world = world
         self.planner = planner
         self.health = health
         self.tenant_of = tenant_of or (lambda vm_name: None)
-        self.exclude = frozenset(exclude)
         self.draining: set[str] = set()
         self.retired: set[str] = set()
         #: what the columns were built against (hosts seen, tenant map)
@@ -268,7 +267,7 @@ class FleetHostView:
         """Mark ``host`` as evacuating: no new boots land on it and the
         planner stops scoring it as a migration destination."""
         self.draining.add(host)
-        self.planner.exclude_hosts.add(host)
+        self.planner.draining.add(host)
 
     def finish_drain(self, host: str, retire: bool = True) -> None:
         """Drain complete: retire the host (default) or return it to
@@ -277,7 +276,7 @@ class FleetHostView:
         if retire:
             self.retired.add(host)
         else:
-            self.planner.exclude_hosts.discard(host)
+            self.planner.draining.discard(host)
 
     # -- columns --------------------------------------------------------------
     def refresh(self) -> HostTable:
@@ -340,7 +339,7 @@ class FleetHostView:
         host."""
         world = self.world
         topo = world.topology
-        names = [h for h in sorted(world.hosts) if h not in self.exclude]
+        names = sorted(world.hosts)
         n = len(names)
         self._names = _objects(names)
         self._index = {h: i for i, h in enumerate(names)}

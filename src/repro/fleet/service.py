@@ -10,7 +10,7 @@ VM lifecycle against a wired :class:`~repro.cluster.World`:
   see the claim — the shared-headroom satellite), and completes the
   boot after ``boot_delay_s``;
 * **retry/reject** — a spec with no valid host backs off exponentially
-  and re-enters the pipeline, up to ``max_boot_attempts``; after that
+  and re-enters the pipeline, up to ``MAX_BOOT_ATTEMPTS``; after that
   it lands on the rejected list (the scenario's overload signal);
 * **depart** — each booted VM schedules its own departure at
   boot-time + lifetime: terminate, free memory, unregister from the
@@ -55,25 +55,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FleetScheduler", "FleetServiceConfig", "PendingBoot"]
 
+#: first retry delay after a failed placement
+RETRY_BACKOFF_S = 1.0
+#: backoff multiplier per further attempt
+RETRY_BACKOFF_FACTOR = 2.0
+#: backoff ceiling
+RETRY_BACKOFF_CAP_S = 8.0
+#: placement attempts before a spec is rejected outright
+MAX_BOOT_ATTEMPTS = 4
+#: how often a draining host re-checks for stragglers
+DRAIN_CHECK_INTERVAL_S = 1.0
+#: how long a departure waits to re-check a VM that is mid-migration
+DEPART_RECHECK_S = 1.0
+
 
 @dataclass(frozen=True)
 class FleetServiceConfig:
-    """Knobs for the boot/retry/drain machinery."""
+    """Knobs for the boot machinery."""
 
     #: image fetch + guest boot time; the window the boot ledger covers
     boot_delay_s: float = 0.5
-    #: first retry delay after a failed placement
-    retry_backoff_s: float = 1.0
-    #: backoff multiplier per further attempt
-    retry_backoff_factor: float = 2.0
-    #: backoff ceiling
-    retry_backoff_cap_s: float = 8.0
-    #: placement attempts before a spec is rejected outright
-    max_boot_attempts: int = 4
-    #: how often a draining host re-checks for stragglers
-    drain_check_interval_s: float = 1.0
-    #: how long a departure waits to re-check a VM that is mid-migration
-    depart_recheck_s: float = 1.0
     #: tenants eligible for clone boots (None = every tenant with a
     #: geometry-matching parent)
     clone_tenants: Optional[tuple] = None
@@ -81,12 +82,6 @@ class FleetServiceConfig:
     def __post_init__(self):
         if self.boot_delay_s < 0:
             raise ValueError("boot_delay_s must be non-negative")
-        if self.max_boot_attempts < 1:
-            raise ValueError("max_boot_attempts must be >= 1")
-        if self.retry_backoff_s <= 0 or self.retry_backoff_factor < 1:
-            raise ValueError("bad retry backoff")
-        if self.drain_check_interval_s <= 0 or self.depart_recheck_s <= 0:
-            raise ValueError("check intervals must be positive")
 
 
 @dataclass
@@ -293,15 +288,12 @@ class FleetScheduler:
 
     def _default_boot(self, spec: "VmSpec", host_name: str) -> None:
         world = self.world
-        vm = world.add_vm(spec.name, spec.memory_bytes, host_name)
-        ns = world.vmd.create_namespace(spec.name)
-        world.hosts[host_name].place_vm(vm, spec.memory_bytes, ns)
+        vm = world.boot_vm(spec.name, spec.memory_bytes, host_name)
         preload_dataset(vm, world.manager_of(host_name), spec.memory_bytes,
                         dirty_resident=(spec.workload == "oltp"))
 
     def _retry(self, spec: "VmSpec", attempt: int, reason: str) -> None:
-        cfg = self.config
-        if attempt >= cfg.max_boot_attempts:
+        if attempt >= MAX_BOOT_ATTEMPTS:
             self.rejected.append(spec.name)
             self.counters["rejected"] += 1
             if self.world.metrics.enabled:
@@ -314,9 +306,9 @@ class FleetScheduler:
                     args={"vm": spec.name, "reason": reason,
                           "attempts": attempt})
             return
-        delay = min(cfg.retry_backoff_cap_s,
-                    cfg.retry_backoff_s
-                    * cfg.retry_backoff_factor ** (attempt - 1))
+        delay = min(RETRY_BACKOFF_CAP_S,
+                    RETRY_BACKOFF_S
+                    * RETRY_BACKOFF_FACTOR ** (attempt - 1))
         self.counters["retried"] += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -337,7 +329,7 @@ class FleetScheduler:
             return  # a fault beat the tenant to it
         if vm.migrating:
             # mid-migration: let it land, then tear down
-            self.sim.call_in(self.config.depart_recheck_s,
+            self.sim.call_in(DEPART_RECHECK_S,
                              self.depart, name)
             return
         host = self.world.hosts[vm.host]
@@ -379,7 +371,7 @@ class FleetScheduler:
                 "fleet", "drain", cat="fleet",
                 args={"host": host_name})
         self._drain_tasks[host_name] = PeriodicTask(
-            self.sim, self.config.drain_check_interval_s,
+            self.sim, DRAIN_CHECK_INTERVAL_S,
             lambda now: self._check_drain(host_name),
             start_at=self.sim.now)
 

@@ -53,20 +53,8 @@ class Host:
                  swap_backend: SwapBackend) -> VmMemoryBinding:
         """Admit a VM: create its cgroup, bind its per-VM swap device, and
         register its memory with this host's memory manager."""
-        if vm.name in self.vms:
-            raise ValueError(f"VM already placed on {self.name}: {vm.name}")
-        vm.host = self.name
-        cgroup = Cgroup(f"cg.{vm.name}", reservation_bytes)
-        binding = self.memory.register_vm(vm, cgroup, swap_backend)
-        self.vms[vm.name] = vm
-        self.version += 1
-        return binding
-
-    def remove_vm(self, vm_name: str) -> None:
-        """Detach a VM (after it migrated away or terminated)."""
-        del self.vms[vm_name]
-        self.version += 1
-        self.memory.unregister_vm(vm_name)
+        return self.place_vm_with_cgroup(
+            vm, Cgroup(f"cg.{vm.name}", reservation_bytes), swap_backend)
 
     def release_vm(self, vm_name: str) -> None:
         """Free and unbind whatever this host still holds of ``vm_name``

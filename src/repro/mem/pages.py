@@ -115,9 +115,6 @@ class PageSet:
     def swapped_bytes(self) -> int:
         return self.swapped_pages() * self.page_size
 
-    def allocated_pages(self) -> int:
-        return int(np.count_nonzero(self.present | self.swapped))
-
     def resident_in(self, lo: int, hi: int) -> int:
         """Resident pages within the half-open page range [lo, hi)."""
         return int(np.count_nonzero(self.present[lo:hi]))
@@ -231,12 +228,6 @@ class PageSet:
     # -- queries used by eviction and migration --------------------------------
     def present_indices(self) -> np.ndarray:
         return np.flatnonzero(self.present)
-
-    def swapped_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.swapped)
-
-    def dirty_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.dirty)
 
     def lru_candidates(self, k: int, protect: np.ndarray | None = None
                        ) -> np.ndarray:

@@ -59,8 +59,6 @@ def fault_log_to_dict(log: Any, until: Optional[float] = None) -> dict:
         "events": [{"t": t, "action": action, "kind": kind,
                     "target": target, "detail": detail}
                    for t, action, kind, target, detail in events],
-        "outages": [{"vm": vm, "start": start, "end": end}
-                    for vm, start, end in log.outages],
         "mttr": log.mttr(),
         "vm_unavailable_seconds": log.vm_unavailable_seconds(until),
         "unavailable_vms": log.unavailable_vms(),

@@ -135,10 +135,6 @@ class Network:
         """Propagation delay of one src→dst delivery, charged per hop."""
         return self.latency_s * self.hops(src, dst)
 
-    def rtt(self, src: str, dst: str) -> float:
-        """Round-trip latency between two hosts (0 for intra-host)."""
-        return 2.0 * self.one_way_latency(src, dst)
-
     # -- flows ----------------------------------------------------------------
     def open_flow(self, src: str, dst: str, priority: int = 1,
                   name: str = "") -> Flow:

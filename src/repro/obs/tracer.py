@@ -159,9 +159,6 @@ class Tracer(NullTracer):
         finally:
             self.end(track)
 
-    def open_depth(self, track: str) -> int:
-        return len(self._stacks.get(track, ()))
-
     # -- instants -------------------------------------------------------------
     def instant(self, track: str, name: str, cat: str = "",
                 args: Optional[dict] = None) -> None:

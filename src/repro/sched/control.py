@@ -16,26 +16,32 @@ single-pair §III-B loop into a cluster service:
 4. when a plan's final attempt ends, its admission slots are released,
    the source's trigger is re-armed, and the queue is pumped again.
 
-The control plane is engine-agnostic: ``technique`` picks any engine in
-:data:`repro.core.ENGINES`, and ``dst_backend_of`` supplies per-destination
-swap backends for the baselines (Agile's portable namespace needs none).
+Every dispatched plan runs the paper's Agile engine: the VM's portable
+per-VM VMD namespace goes with it, so no destination swap backend is
+needed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core import ENGINES
+from repro.core.agile import AgileMigration
 from repro.core.base import MigrationConfig, MigrationManager
 from repro.core.trigger import WatermarkConfig, WatermarkTrigger
-from repro.faults.recovery import MigrationSupervisor, RetryPolicy
+from repro.faults.recovery import MigrationSupervisor
 from repro.sched.health import HostHealthTracker
 from repro.sched.planner import MigrationPlan, MigrationPlanner, PlannerConfig
+from repro.vm.vm import VmState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.world import World
+    from repro.host.host import Host
 
 __all__ = ["ClusterControlPlane"]
+
+#: aborted attempts before the supervisor asks the planner for a
+#: different destination
+REPLAN_AFTER_ABORTS = 1
 
 
 class ClusterControlPlane:
@@ -47,50 +53,35 @@ class ClusterControlPlane:
         A wired :class:`~repro.cluster.World`; attach faults *before*
         constructing when ``health_aware`` (the tracker subscribes to
         the injector).
-    technique:
-        Migration engine for dispatched plans.
     health_aware:
         When False the control plane runs *health-blind*: no tracker,
         the planner scores by headroom/topology alone, and the
         supervisor falls back to exponential backoff — the ablation
-        baseline.
-    workload_of:
-        ``vm_name -> workload`` (or None) handed to each engine.
-    dst_backend_of:
-        ``dst_host -> SwapBackend`` for the baseline engines; Agile
-        carries its per-VM namespace and ignores it.
-    replan_after_aborts:
-        Aborted attempts before the supervisor asks the planner for a
-        different destination.
+        baseline. A health-aware plane keeps a failed host out of
+        placement for the tracker's default 30 s cooldown.
+
+    :attr:`workload_of` maps a VM name to the workload (or None) handed
+    to its engine; a scenario running a workload sets it once the
+    workload exists.
     """
 
-    def __init__(self, world: "World", technique: str = "agile",
-                 health_aware: bool = True,
-                 cooldown_s: float = 30.0,
+    def __init__(self, world: "World", health_aware: bool = True,
                  planner_config: Optional[PlannerConfig] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 migration_config: Optional[MigrationConfig] = None,
-                 workload_of: Optional[Callable[[str], object]] = None,
-                 dst_backend_of: Optional[Callable[[str], object]] = None,
-                 exclude_hosts: tuple = (),
-                 replan_after_aborts: int = 1):
+                 migration_config: Optional[MigrationConfig] = None):
         self.world = world
-        self.technique = technique
         self.migration_config = migration_config or MigrationConfig()
-        self.workload_of = workload_of or (lambda vm_name: None)
-        self.dst_backend_of = dst_backend_of or (lambda dst: None)
+        self.workload_of: Callable[[str], object] = lambda vm_name: None
         self.health: Optional[HostHealthTracker] = None
         if health_aware and world.faults is not None:
-            self.health = HostHealthTracker(world, cooldown_s=cooldown_s)
+            self.health = HostHealthTracker(world)
             if world.vmd is not None:
                 world.vmd.attach_health(self.health)
         self.planner = MigrationPlanner(
             world, topology=world.topology, health=self.health,
-            config=planner_config, dispatch=self._dispatch,
-            exclude_hosts=exclude_hosts)
+            config=planner_config, dispatch=self._dispatch)
         self.supervisor = MigrationSupervisor(
-            world, policy=retry_policy, health=self.health,
-            replan=self._replan, replan_after_aborts=replan_after_aborts)
+            world, health=self.health,
+            replan=self._replan, replan_after_aborts=REPLAN_AFTER_ABORTS)
         self.triggers: dict[str, WatermarkTrigger] = {}
         #: vm name → its current plan (tracks supervisor re-plans)
         self._plan_of: dict[str, MigrationPlan] = {}
@@ -104,24 +95,23 @@ class ClusterControlPlane:
 
     # -- triggers -------------------------------------------------------------
     def add_trigger(self, host_name: str,
-                    wss_of: Callable[[], dict[str, float]],
                     config: Optional[WatermarkConfig] = None,
                     select: Optional[Callable] = None
                     ) -> WatermarkTrigger:
         """Install the watermark trigger for one host.
 
-        ``wss_of`` supplies the per-VM WSS estimates for VMs currently
-        on the host (the caller filters out migrating VMs, as in the
-        single-pair loop). The trigger's alert feeds the planner; it is
-        re-armed when every migration it caused has ended. ``select``
-        overrides the VM-selection policy (largest-first by default);
-        an SLO-aware deployment passes
+        A VM's WSS is its cgroup reservation (idle-but-committed memory
+        counts), summed over the live VMs on the host that are not
+        migrating, as in the single-pair loop. The trigger's alert
+        feeds the planner; it is re-armed when every migration it
+        caused has ended. ``select`` overrides the VM-selection policy
+        (largest-first by default); an SLO-aware deployment passes
         :func:`repro.telemetry.slo_aware_selector`.
         """
         host = self.world.hosts[host_name]
         trigger = WatermarkTrigger(
             self.world.sim, usable_bytes=host.memory.usable_bytes(),
-            wss_of=wss_of,
+            wss_of=lambda: _reserved_wss(host),
             migrate=lambda names: self._on_alert(host_name, names),
             recorder=self.world.recorder, config=config,
             select=select, metrics=self.world.metrics)
@@ -153,11 +143,10 @@ class ClusterControlPlane:
         def factory() -> MigrationManager:
             world = self.world
             vm = world.vms[plan.vm]
-            return ENGINES[self.technique](
+            return AgileMigration(
                 world.sim, world.network,
                 world.hosts[plan.src], world.hosts[plan.dst],
                 vm, world.recorder,
-                dst_backend=self.dst_backend_of(plan.dst),
                 config=self.migration_config,
                 workload=self.workload_of(plan.vm),
                 tracer=world.tracer, metrics=world.metrics)
@@ -199,3 +188,14 @@ class ClusterControlPlane:
     def stop(self) -> None:
         for trigger in self.triggers.values():
             trigger.stop()
+
+
+def _reserved_wss(host: "Host") -> dict[str, float]:
+    """Cgroup reservation of each live, non-migrating VM on ``host``."""
+    out: dict[str, float] = {}
+    for name in sorted(host.vms):
+        vm = host.vms[name]
+        if vm.migrating or vm.state is VmState.TERMINATED:
+            continue
+        out[name] = host.memory.binding(name).cgroup.reservation_bytes
+    return out

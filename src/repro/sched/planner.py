@@ -183,22 +183,22 @@ class MigrationPlanner:
     :class:`MigrationPlan` and must start the migration (typically via a
     :class:`~repro.faults.MigrationSupervisor`), calling
     :meth:`on_plan_done` when the final attempt ends. Destinations are
-    drawn from ``world.hosts`` (machines with a memory manager); hosts
-    can be excluded with ``exclude_hosts`` (e.g. VMD-donor-only hosts).
+    drawn from ``world.hosts`` (machines with a memory manager, so never
+    a VMD donor); hosts in :attr:`draining` are never chosen.
     """
 
     def __init__(self, world: "World",
                  topology: Optional[Topology] = None,
                  health: Optional[HostHealthTracker] = None,
                  config: Optional[PlannerConfig] = None,
-                 dispatch: Optional[Callable[[MigrationPlan], None]] = None,
-                 exclude_hosts: tuple = ()):
+                 dispatch: Optional[Callable[[MigrationPlan], None]] = None):
         self.world = world
         self.topology = topology if topology is not None else world.topology
         self.health = health
         self.config = config or PlannerConfig()
         self.dispatch = dispatch
-        self.exclude_hosts = set(exclude_hosts)
+        #: hosts a decommission-drain is evacuating or has retired
+        self.draining: set[str] = set()
         self.queue: list[_Request] = []
         #: in-flight plans by VM name
         self.active: dict[str, MigrationPlan] = {}
@@ -461,7 +461,7 @@ class MigrationPlanner:
         once per candidate host.
         """
         cfg = self.config
-        if dst == src or dst in self.exclude_hosts:
+        if dst == src or dst in self.draining:
             return None
         if self.health is not None and not self.health.placeable(dst):
             return None
@@ -664,7 +664,7 @@ class MigrationPlanner:
                         until=self._landed_at[vm_name]
                         + cfg.move_cooldown_s)
             return None
-        if dst == src_host or dst in self.exclude_hosts \
+        if dst == src_host or dst in self.draining \
                 or dst not in self.world.hosts:
             return None
         if self.health is not None and not self.health.placeable(dst):

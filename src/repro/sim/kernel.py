@@ -150,10 +150,6 @@ class Simulator:
             fn(*args)
         return time
 
-    def peek(self) -> float:
-        """Time of the next entry, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else math.inf
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue is empty or the clock would pass ``until``.
 

@@ -159,9 +159,3 @@ class VMDCluster:
         span = self._down_spans.pop(server.host, 0)
         if span:
             self.tracer.async_end(span)
-
-    def total_free_bytes(self) -> float:
-        return sum(s.free_bytes for s in self.servers)
-
-    def total_used_bytes(self) -> float:
-        return sum(s.used_bytes for s in self.servers)

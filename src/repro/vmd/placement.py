@@ -69,7 +69,3 @@ class RoundRobinPlacement:
             plan[server] = plan.get(server, 0.0) + take
             remaining -= take
         return plan
-
-    def placeable_bytes(self) -> float:
-        """Total free memory across usable servers (caps write demand)."""
-        return sum(s.free_bytes for s in self.servers if self._usable(s))

@@ -52,10 +52,6 @@ class VMDServer:
     def free_bytes(self) -> float:
         return self.capacity_bytes - self.used_bytes
 
-    def has_free_memory(self) -> bool:
-        """The availability signal gossiped to clients."""
-        return self.alive and self.free_bytes > 0
-
     def fail(self, lose_contents: bool = False) -> None:
         """Crash the donor host.
 

@@ -46,13 +46,6 @@ def test_phase_plan_before_first_phase_uses_first():
     assert plan.region_at(0.0) == (0, 5)
 
 
-def test_host_remove_unknown_vm():
-    net = Network()
-    host = Host("h", 64 * MiB, net, host_os_bytes=1 * MiB)
-    with pytest.raises(KeyError):
-        host.remove_vm("ghost")
-
-
 def test_world_double_vmd_rejected():
     w = World()
     w.add_vmd([("i0", 1 * GiB)])
@@ -64,8 +57,8 @@ def test_world_vmd_reuses_existing_network_host():
     w = World()
     w.network.add_host("i0")
     vmd = w.add_vmd([("i0", 1 * GiB)])
-    assert vmd.total_free_bytes() == 1 * GiB
-    assert vmd.total_used_bytes() == 0.0
+    assert [s.host for s in vmd.servers] == ["i0"]
+    assert vmd.servers[0].free_bytes == 1 * GiB
 
 
 def test_world_cpu_of_accessor():

@@ -1,9 +1,7 @@
 """Tests for terminal rendering helpers."""
 
-from repro.metrics import TimeSeries
 from repro.metrics.ascii import (
     format_table,
-    render_series,
     span_timeline,
     sparkline,
 )
@@ -27,23 +25,6 @@ def test_sparkline_empty_and_flat():
 
 def test_sparkline_short_input():
     assert len(sparkline([1.0, 2.0], width=70)) == 2
-
-
-def test_render_series():
-    s = TimeSeries("x")
-    for i in range(50):
-        s.append(float(i), float(i))
-    out = render_series(s, 0.0, 50.0, width=20, label="ops")
-    assert out.startswith("  ops")
-    assert "max=4" in out  # bucketed mean of the top bucket
-    assert "|" in out
-
-
-def test_render_series_empty_window():
-    s = TimeSeries("x")
-    s.append(100.0, 5.0)
-    out = render_series(s, 0.0, 50.0, width=10, label="y")
-    assert "(empty)" in out
 
 
 def test_format_table_alignment():

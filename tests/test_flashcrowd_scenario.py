@@ -6,6 +6,7 @@ placement log, serving log, clone log, and the exported trace."""
 from dataclasses import replace
 
 from repro.experiments.flashcrowd import (
+    PARENT_MEMORY_BYTES,
     flashcrowd_ablation,
     flashcrowd_run,
     quick_config,
@@ -73,7 +74,7 @@ def test_fullcopy_arm_serves_without_clones(tmp_path):
     fc = res["scenario"]
     assert len(fc.fullcopy.reports) == fc.config.n_replicas
     assert res["provision_bytes"] >= (fc.config.n_replicas
-                                      * fc.config.parent_memory_bytes
+                                      * PARENT_MEMORY_BYTES
                                       - 1.0)
 
 

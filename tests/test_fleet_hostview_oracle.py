@@ -45,8 +45,6 @@ def rebuild_states(view) -> dict:
     az_loads: dict[str, int] = {}
     states: dict[str, HostState] = {}
     for name in sorted(world.hosts):
-        if name in view.exclude:
-            continue
         host = world.hosts[name]
         live = []
         tenants: dict[str, int] = {}

@@ -137,10 +137,11 @@ def test_crash_outside_drain_also_requeues():
 def flash_config(**overrides):
     """A flash-crowd config with no background churn — tests see only
     the hot tenant's clone boots."""
-    from repro.experiments.flashcrowd import FlashCrowdConfig
+    from repro.experiments.flashcrowd import CLUSTER, FlashCrowdConfig
     base = FlashCrowdConfig(
-        demand=DemandConfig(base_rate_per_s=0.0, horizon_s=1.0),
-        n_replicas=3, serving_target=3, flash_at=0.5, until=10.0)
+        cluster=replace(CLUSTER, until=10.0, demand=DemandConfig(
+            base_rate_per_s=0.0, horizon_s=1.0)),
+        n_replicas=3, serving_target=3, flash_at=0.5)
     return replace(base, **overrides) if overrides else base
 
 
@@ -164,12 +165,15 @@ def test_clone_boots_fork_from_the_registered_parent():
 
 
 def test_clone_tenant_filter_keeps_other_tenants_on_full_boots():
-    from repro.experiments.flashcrowd import make_flashcrowd
+    from repro.experiments.flashcrowd import (
+        PARENT_MEMORY_BYTES,
+        make_flashcrowd,
+    )
     fc = make_flashcrowd(flash_config())
     sched = fc.scheduler
     # same geometry as the parent, different tenant: must not clone
     sched.submit(VmSpec(name="other", tenant="t0",
-                        memory_bytes=fc.config.parent_memory_bytes,
+                        memory_bytes=PARENT_MEMORY_BYTES,
                         workload="kv", arrival_s=0.0, lifetime_s=None))
     fc.run(until=2.0)
     assert sched.counters["cloned"] >= 1     # the hot tenant cloned

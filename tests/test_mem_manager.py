@@ -177,7 +177,7 @@ def test_unregister_closes_queues():
     host = make_host()
     vm = make_vm()
     binding, _ = place(host, vm, 10)
-    host.remove_vm("vm1")
+    host.release_vm("vm1")
     assert not host.memory.has_vm("vm1")
     assert not binding.fault_queue.active
     assert not binding.write_queue.active

@@ -16,7 +16,7 @@ def test_initial_state_untouched():
     ps = PageSet(10)
     assert ps.resident_pages() == 0
     assert ps.swapped_pages() == 0
-    assert ps.allocated_pages() == 0
+    assert not (ps.present | ps.swapped).any()
     assert ps.total_bytes == 10 * 4096
 
 
@@ -81,7 +81,7 @@ def test_drop_clears_everything():
     ps.make_resident(idx(0, 1), tick=0)
     ps.swap_out(idx(1))
     ps.drop(idx(0, 1))
-    assert ps.allocated_pages() == 0
+    assert not (ps.present | ps.swapped).any()
     assert not ps.swap_clean[1]
 
 
@@ -100,8 +100,8 @@ def test_indices_queries():
     ps.swap_out(idx(4))
     ps.mark_dirty(idx(2))
     assert ps.present_indices().tolist() == [0, 2]
-    assert ps.swapped_indices().tolist() == [4]
-    assert ps.dirty_indices().tolist() == [2]
+    assert np.flatnonzero(ps.swapped).tolist() == [4]
+    assert np.flatnonzero(ps.dirty).tolist() == [2]
 
 
 def test_lru_candidates_picks_oldest():

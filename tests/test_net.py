@@ -164,14 +164,6 @@ def test_dt_scales_capacity():
     assert f.granted == pytest.approx(10.0)
 
 
-def test_rtt():
-    net = Network(latency_s=0.001)
-    net.add_host("a")
-    assert net.rtt("a", "a") == 0.0
-    net.add_host("b")
-    assert net.rtt("a", "b") == pytest.approx(0.002)
-
-
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         Network(default_bandwidth_bps=0)
@@ -338,9 +330,8 @@ def test_rtt_topology_per_hop():
     assert net.hops("a", "c") == 4  # + uplink, core, downlink
     assert net.hops("a", "ext") == 1  # endpoint outside the topology
     assert net.one_way_latency("a", "c") == pytest.approx(0.004)
-    assert net.rtt("a", "b") == pytest.approx(0.002)
-    assert net.rtt("a", "c") == pytest.approx(0.008)
-    assert net.rtt("a", "a") == 0.0
+    assert net.one_way_latency("a", "b") == pytest.approx(0.001)
+    assert net.one_way_latency("a", "a") == 0.0
 
 
 def test_channel_completion_uses_per_hop_latency():

@@ -77,7 +77,7 @@ def test_span_context_manager_closes_on_error():
     with pytest.raises(RuntimeError):
         with tr.span("t", "s"):
             raise RuntimeError("boom")
-    assert tr.open_depth("t") == 0
+    assert not tr._stacks.get("t")
 
 
 def test_async_spans_overlap_and_pair_by_id():

@@ -116,8 +116,9 @@ def gather_run(supervised, reservation_mib):
 def test_supervised_scatter_gather_keeps_gathering():
     """The supervisor unregisters a manager when its tick work ends, not
     when its report does: scatter-gather's gather runs on after the
-    source is free (and after ``done``)."""
-    # 16 MiB reservation: the gather fills the cgroup and keeps going
+    source is free (and after ``done``), until the VM is whole at the
+    destination or its reservation is full."""
+    # 16 MiB reservation: the gather fills the cgroup, then stops
     (sup_lab, sup), (ref_lab, ref) = (gather_run(flag, 16)
                                       for flag in (True, False))
     assert ref.report.gather_bytes == pytest.approx(16 * MiB, rel=0.02)
@@ -125,9 +126,15 @@ def test_supervised_scatter_gather_keeps_gathering():
     for field in ("present", "swapped", "swap_clean"):
         assert np.array_equal(getattr(sup_lab.migrate_vm.pages, field),
                               getattr(ref_lab.migrate_vm.pages, field))
-    assert sup._gathering and not sup.ticks_done.triggered
-    # a reservation that holds the whole VM: the gather ends, its lane
-    # closes and the manager leaves the tick engine
+    # hydrated to the reservation: the cold tail stays on the device,
+    # the lane is closed and the manager has left the tick engine
+    assert sup_lab.migrate_vm.pages.swapped_pages() > 0
+    assert not sup._gathering and not sup.gather_q.active
+    assert sup.ticks_done.triggered
+    with pytest.raises(ValueError):
+        sup_lab.world.engine.remove_participant(sup)
+    # a reservation that holds the whole VM: the gather ends once every
+    # page is resident
     lab, sup = gather_run(True, 40)
     assert lab.migrate_vm.pages.swapped_pages() == 0
     assert not sup._gathering and not sup.gather_q.active

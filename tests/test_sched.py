@@ -254,8 +254,7 @@ def planner_world():
 def test_planner_prefers_headroom_and_spread():
     world = planner_world()
     dispatched = []
-    planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=dispatched.append)
     planner.request("vm0", "src")
     assert len(dispatched) == 1
     plan = dispatched[0]
@@ -275,8 +274,7 @@ def test_planner_skips_down_hosts_and_repumps_on_health():
     tracker = HostHealthTracker(world, cooldown_s=1.0)
     dispatched = []
     planner = MigrationPlanner(world, health=tracker,
-                               dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+                               dispatch=dispatched.append)
     world.run(until=1.5)
     planner.request("vm0", "src")
     assert dispatched[0].dst == "b0"  # the honeypot b1 is DOWN
@@ -291,7 +289,7 @@ def test_planner_admission_caps_and_fifo_queue():
     dispatched = []
     planner = MigrationPlanner(
         world, config=PlannerConfig(max_per_host=1, max_per_uplink=2),
-        dispatch=dispatched.append, exclude_hosts=("vmdx",))
+        dispatch=dispatched.append)
     planner.request("vm0", "src")
     planner.request("vm1", "src")   # src already migrating → queued
     planner.request("vm2", "peer")  # b1 slot taken → next-best b0
@@ -308,8 +306,7 @@ def test_planner_admission_caps_and_fifo_queue():
 def test_planner_replan_excludes_failed_destination():
     world = planner_world()
     dispatched = []
-    planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=dispatched.append)
     planner.request("vm0", "src")
     plan = dispatched[0]
     assert plan.dst == "b1"
@@ -327,7 +324,6 @@ def test_round_robin_skips_unplaceable_donors():
     plan = placement.split_write(4 * MiB)
     assert s0 not in plan
     assert plan[s1] == 4 * MiB
-    assert placement.placeable_bytes() == 64 * MiB
 
 
 def test_vmd_cluster_attach_health_filters_new_placements():
@@ -443,7 +439,7 @@ def test_pump_survives_synchronously_completing_dispatch():
     dispatched = []
     planner = MigrationPlanner(
         world, config=PlannerConfig(max_per_host=1),
-        dispatch=dispatched.append, exclude_hosts=("vmdx",))
+        dispatch=dispatched.append)
     planner.request("vm0", "src")
     planner.request("vm1", "src")  # src at capacity → queued
     planner.request("vm2", "src")  # queued behind vm1
@@ -468,8 +464,7 @@ def test_duplicate_request_returns_false_so_triggers_stay_armed():
     other host's trigger forever."""
     world = planner_world()
     world.attach_faults(FaultSchedule())
-    control = ClusterControlPlane(world, health_aware=False,
-                                  exclude_hosts=("vmdx",))
+    control = ClusterControlPlane(world, health_aware=False)
     assert control._on_alert("src", ["vm0"]) is True
     assert control.planner.request("vm0", "src") is False   # same host
     assert control._on_alert("peer", ["vm0"]) is False      # other host
@@ -485,7 +480,7 @@ def test_trigger_rearms_only_after_every_shed_migration_lands():
         ns = world.vmd.create_namespace(f"vm{i}")
         world.hosts["src"].place_vm(vm, 8 * MiB, ns)
     control = ClusterControlPlane(
-        world, health_aware=False, exclude_hosts=("vmdx",),
+        world, health_aware=False,
         planner_config=PlannerConfig(max_per_host=2))
     rearms = []
 
@@ -507,14 +502,35 @@ def test_trigger_rearms_only_after_every_shed_migration_lands():
     assert "src" not in control._outstanding
 
 
+def test_trigger_wss_is_the_reservation_of_live_non_migrating_vms():
+    """The control plane's trigger sums the cgroup reservation of
+    exactly the live VMs on the host that are not migrating: a VM in
+    flight is already being shed, a dead one holds nothing."""
+    world = planner_world()
+    world.attach_faults(FaultSchedule())
+    for name, nbytes in (("moving", 4 * MiB), ("dead", 2 * MiB)):
+        world.boot_vm(name, nbytes, "src")
+    host = world.hosts["src"]
+    host.memory.binding("vm0").cgroup.set_reservation(6 * MiB)
+    control = ClusterControlPlane(world, health_aware=False)
+    trigger = control.add_trigger("src")
+    assert trigger.wss_of() == {"dead": 2 * MiB, "moving": 4 * MiB,
+                                "vm0": 6 * MiB}
+    world.vms["moving"].migrating = True
+    world.terminate_vm("dead")
+    assert trigger.wss_of() == {"vm0": 6 * MiB}
+    # the other hosts' triggers see only their own VMs
+    assert control.add_trigger("b0").wss_of() == {"vmf": 16 * MiB}
+    assert control.add_trigger("b1").wss_of() == {}
+
+
 def test_replan_exclusion_is_cumulative_across_failures():
     """After two failed destinations the planner must not bounce the VM
     back to the first dead end (the old exclude carried only the latest
     failure)."""
     world = planner_world()
     dispatched = []
-    planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=dispatched.append)
     planner.request("vm0", "src")
     plan = dispatched[0]
     assert plan.dst == "b1"
@@ -530,8 +546,7 @@ def test_replan_exclusion_is_cumulative_across_failures():
 def test_candidate_cache_invalidates_on_equal_size_host_set_change():
     world = planner_world()
     dispatched = []
-    planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=dispatched.append)
     planner.request("vm0", "src")
     assert dispatched[0].dst == "b1"  # cache populated
     planner.on_plan_done(dispatched[0], "failed")
@@ -547,11 +562,9 @@ def test_candidate_cache_invalidates_on_equal_size_host_set_change():
 
 def test_reservation_charges_inflight_demand_against_destination():
     world = planner_world()
-    aware = MigrationPlanner(world, config=PlannerConfig(),
-                             exclude_hosts=("vmdx",))
+    aware = MigrationPlanner(world, config=PlannerConfig())
     naive = MigrationPlanner(
-        world, config=PlannerConfig(reserve_in_flight=False),
-        exclude_hosts=("vmdx",))
+        world, config=PlannerConfig(reserve_in_flight=False))
     claim = MigrationPlan(seq=1, vm="vmz", src="src", dst="b1",
                           score=1.0, demand_bytes=120 * MiB, at=0.0)
     for planner in (aware, naive):
@@ -568,8 +581,7 @@ def test_reservation_charges_inflight_demand_against_destination():
 def test_projection_rejects_destination_that_would_cross_watermark():
     world = planner_world()
     planner = MigrationPlanner(
-        world, config=PlannerConfig(project_watermark=0.5),
-        exclude_hosts=("vmdx",))
+        world, config=PlannerConfig(project_watermark=0.5))
     # b0: 16 MiB used of 63 usable; +16 MiB would hit 32 > 0.5 * 63
     assert planner.score_destination("vm0", "src", "b0",
                                      demand=16 * MiB) is None
@@ -582,7 +594,7 @@ def test_move_cooldown_defers_resheds_of_a_just_landed_vm():
     dispatched = []
     planner = MigrationPlanner(
         world, config=PlannerConfig(move_cooldown_s=5.0),
-        dispatch=dispatched.append, exclude_hosts=("vmdx",))
+        dispatch=dispatched.append)
     assert planner.request("vm0", "src") is True
     planner.on_plan_done(dispatched[0], "completed")  # lands at t=0
     # re-shedding the just-landed VM is refused (and counted), so the
@@ -600,7 +612,7 @@ def test_min_gain_keeps_vm_when_no_destination_is_decisively_better():
     dispatched = []
     planner = MigrationPlanner(
         world, config=PlannerConfig(min_gain=10.0),  # nothing clears it
-        dispatch=dispatched.append, exclude_hosts=("vmdx",))
+        dispatch=dispatched.append)
     assert planner.request("vm0", "src") is True  # accepted: stays queued
     assert dispatched == []
     assert [r.vm for r in planner.queue] == ["vm0"]
@@ -617,8 +629,7 @@ def test_min_gain_keeps_vm_when_no_destination_is_decisively_better():
 def test_usage_feed_drives_the_pressure_forecast():
     world = planner_world()
     planner = MigrationPlanner(
-        world, config=PlannerConfig(forecast_alpha=1.0),
-        exclude_hosts=("vmdx",))
+        world, config=PlannerConfig(forecast_alpha=1.0))
     world.subscribe_usage(planner.observe_usage)
     samples = []
     world.subscribe_usage(lambda host, t, used: samples.append((host, t)))
@@ -689,8 +700,7 @@ def test_boot_reservation_blocks_migration_overcommit():
     that window lands on memory the boot is about to claim."""
     world = planner_world()
     dispatched = []
-    planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=dispatched.append)
     # normally the empty big host b1 wins on headroom
     planner.request("vm0", "src")
     assert dispatched[0].dst == "b1"
@@ -714,7 +724,6 @@ def test_planner_direct_respects_ledger_caps_and_credit():
     world = planner_world()
     dispatched = []
     planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",),
                                config=PlannerConfig(max_per_host=2))
     # basic admission: caller-chosen destination dispatches immediately
     plan = planner.direct("vm0", "src", "b0")
@@ -736,8 +745,7 @@ def test_planner_direct_respects_ledger_caps_and_credit():
 def test_planner_cancel_drops_queued_requests_only():
     world = planner_world()
     dispatched = []
-    planner = MigrationPlanner(world, dispatch=dispatched.append,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=dispatched.append)
     planner.request("vm0", "src")   # dispatches immediately (active)
     assert "vm0" in planner.active
     # the source is now at max_per_host=1, so a second request from it

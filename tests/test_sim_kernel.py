@@ -1,6 +1,5 @@
 """Unit tests for the discrete-event kernel."""
 
-import math
 
 import pytest
 
@@ -131,8 +130,3 @@ def test_run_until_event_limit_raises():
         sim.run_until_event(ev, limit=10.0)
 
 
-def test_peek_reports_next_time():
-    sim = Simulator()
-    assert sim.peek() == math.inf
-    sim.call_in(2.0, lambda: None)
-    assert sim.peek() == 2.0

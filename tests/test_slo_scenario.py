@@ -3,7 +3,12 @@ determinism of its metrics exports."""
 
 import json
 
-from repro.experiments.slo import SloScenarioConfig, make_slo, slo_run
+from repro.experiments.slo import (
+    WATERMARK,
+    SloScenarioConfig,
+    make_slo,
+    slo_run,
+)
 from repro.obs.export import trace_to_chrome
 from repro.obs.tracer import Tracer
 from repro.telemetry import MetricsRegistry, metrics_to_jsonl
@@ -41,7 +46,7 @@ def test_aware_beats_blind_on_violation_seconds():
 def test_watermark_settles_below_target_in_both_arms():
     cfg = SloScenarioConfig()
     usable = cfg.host_memory_bytes - cfg.host_os_bytes
-    target = cfg.watermark.low_watermark * usable
+    target = WATERMARK.low_watermark * usable
     for blind in (False, True):
         lab = slo_run(blind=blind, until=UNTIL)["lab"]
         host = lab.world.hosts["r0h0"]

@@ -195,7 +195,7 @@ def test_vmd_content_loss_with_replication_2_in_lockstep(monkeypatch):
 def test_clone_flash_crowd_in_lockstep(monkeypatch):
     cfg = replace(crowd_quick_config(seed=0), provision="clone")
     live, ref = twin(monkeypatch, lambda: make_flashcrowd(cfg))
-    seen = run_lockstep(live.world, ref.world, cfg.until)
+    seen = run_lockstep(live.world, ref.world, cfg.cluster.until)
     assert live.scheduler.counters["cloned"] > 0
     assert live.scheduler.counters == ref.scheduler.counters
     assert seen["parked_max"] > 0 and seen["wakes"] > 0

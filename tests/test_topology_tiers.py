@@ -296,8 +296,7 @@ def test_planner_spread_scales_with_tier_distance():
     vm = world.add_vm("vm0", 8 * MiB, "az0p0r0h0", page_size=4096)
     ns = world.vmd.create_namespace("vm0")
     world.hosts["az0p0r0h0"].place_vm(vm, 8 * MiB, ns)
-    planner = MigrationPlanner(world, dispatch=lambda p: None,
-                               exclude_hosts=("vmdx",))
+    planner = MigrationPlanner(world, dispatch=lambda p: None)
     src = "az0p0r0h0"
     s1 = planner.score_destination("vm0", src, "az0p0r1h0")  # distance 1
     s2 = planner.score_destination("vm0", src, "az0p1r0h0")  # distance 2

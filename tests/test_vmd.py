@@ -21,7 +21,7 @@ def test_server_allocate_on_write_only():
 def test_server_allocate_caps_at_capacity():
     s = VMDServer("i1", 100.0)
     assert s.allocate(150.0) == 100.0
-    assert not s.has_free_memory()
+    assert s.free_bytes == 0.0
 
 
 def test_server_release():
@@ -107,7 +107,7 @@ def test_namespace_write_allocates_on_servers():
     q.demand = 50.0
     sim.run(until=1.0)
     assert q.granted == pytest.approx(50.0)
-    assert vmd.total_used_bytes() == pytest.approx(50.0)
+    assert sum(s.used_bytes for s in vmd.servers) == pytest.approx(50.0)
     assert ns.used_bytes == pytest.approx(50.0)
 
 
@@ -163,7 +163,7 @@ def test_namespace_write_grant_stalls_when_servers_full():
     q = ns.open_queue("wb", "write", host="src")
     q.demand = 100.0
     sim.run(until=1.0)
-    assert vmd.total_used_bytes() == pytest.approx(30.0)
+    assert sum(s.used_bytes for s in vmd.servers) == pytest.approx(30.0)
     assert q.granted <= 30.0 + 1e-9
 
 
@@ -175,7 +175,7 @@ def test_namespace_release_returns_memory():
     sim.run(until=1.0)
     ns.release(20.0)
     assert ns.used_bytes == pytest.approx(30.0)
-    assert vmd.total_used_bytes() == pytest.approx(30.0)
+    assert sum(s.used_bytes for s in vmd.servers) == pytest.approx(30.0)
 
 
 def test_closed_queue_closes_flows():

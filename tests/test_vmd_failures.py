@@ -48,10 +48,11 @@ def test_replication_validation():
 
 def test_failed_server_rejects_placement():
     s = VMDServer("i0", 100.0)
+    placement = RoundRobinPlacement([s], chunk_bytes=10.0)
     s.fail()
-    assert not s.has_free_memory()
+    assert placement.split_write(10.0) == {}
     s.recover()
-    assert s.has_free_memory()
+    assert placement.split_write(10.0) == {s: 10.0}
 
 
 def test_single_copy_reads_stall_after_donor_failure():
